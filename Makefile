@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint bench bench-report sweep-sharded sweep-dispatch sweep-http sweep-resume sweep-scale serve-smoke serve-golden policy-conformance clean
+.PHONY: all build test race lint bench bench-report dist-smoke serve-smoke serve-golden policy-conformance clean
 
 all: build
 
@@ -15,133 +15,19 @@ test:
 
 # Race-detect the concurrency-critical packages: the parallel scheduler
 # search, the runner engines, the parallel experiment sweep, the
-# multi-process shard pipeline (concurrent shard workers sharing one
-# profile cache), and the work-stealing dispatcher.
+# distributed-sweep fold and worker fleet (concurrent sweep workers
+# sharing one profile cache), and the work-stealing dispatcher.
 race:
 	$(GO) test -race ./internal/core/... ./internal/runner/... ./internal/experiments/... ./internal/par/... ./internal/distsweep/... ./internal/atomicfile/... ./internal/dispatch/... ./internal/serve/...
 
-# End-to-end sharded sweep on one box: fork 2 local shard worker
-# processes sharing an on-disk profile cache, merge their envelopes, and
-# require the merged artifact to be byte-identical to the
-# single-process sweep's.
-SHARD_DIR := .shard-demo
-sweep-sharded: build
-	rm -rf $(SHARD_DIR) && mkdir -p $(SHARD_DIR)/profiles
-	./exegpt sweep -quick -models OPT-13B -tasks S,T \
-		-profile-cache $(SHARD_DIR)/profiles -json $(SHARD_DIR)/single.json > /dev/null
-	./exegpt sweep -quick -models OPT-13B -tasks S,T \
-		-profile-cache $(SHARD_DIR)/profiles -shards 2 -spawn \
-		-shard-dir $(SHARD_DIR)/shards -json $(SHARD_DIR)/spawned.json
-	./exegpt merge -json $(SHARD_DIR)/merged.json $(SHARD_DIR)/shards/shard_*.json > /dev/null
-	cmp $(SHARD_DIR)/single.json $(SHARD_DIR)/spawned.json
-	cmp $(SHARD_DIR)/single.json $(SHARD_DIR)/merged.json
-	@echo "sharded sweep == single-process sweep (byte-identical)"
-
-# End-to-end work-stealing sweep on one box: a file-spool coordinator
-# plus two pull worker processes, one of them killed right after launch
-# so its leases requeue; the merged artifact must be byte-identical to
-# the single-process sweep's.
-DISPATCH_DIR := .dispatch-demo
-sweep-dispatch: build
-	rm -rf $(DISPATCH_DIR) && mkdir -p $(DISPATCH_DIR)/profiles
-	./exegpt sweep -quick -models OPT-13B -tasks S,T \
-		-profile-cache $(DISPATCH_DIR)/profiles -json $(DISPATCH_DIR)/single.json > /dev/null
-	./exegpt dispatch -quick -models OPT-13B -tasks S,T \
-		-profile-cache $(DISPATCH_DIR)/profiles -spool $(DISPATCH_DIR)/spool \
-		-lease-timeout 3s -json $(DISPATCH_DIR)/dispatched.json > /dev/null & \
-	./exegpt sweep -quick -models OPT-13B -tasks S,T \
-		-profile-cache $(DISPATCH_DIR)/profiles -pull -spool $(DISPATCH_DIR)/spool -worker-id w1 & \
-	W1=$$!; sleep 0.3; kill -9 $$W1 2>/dev/null; \
-	./exegpt sweep -quick -models OPT-13B -tasks S,T \
-		-profile-cache $(DISPATCH_DIR)/profiles -pull -spool $(DISPATCH_DIR)/spool -worker-id w2; \
-	wait
-	cmp $(DISPATCH_DIR)/single.json $(DISPATCH_DIR)/dispatched.json
-	@echo "work-stealing sweep == single-process sweep (byte-identical)"
-
-# End-to-end HTTP-dispatched sweep on one box: an HTTP coordinator plus
-# two workers attaching over TCP, one killed mid-sweep and replaced by a
-# late-attaching worker (elastic fleet); the merged artifact must be
-# byte-identical to the single-process sweep's.
-HTTP_DIR := .http-demo
-HTTP_ADDR := 127.0.0.1:18080
-sweep-http: build
-	rm -rf $(HTTP_DIR) && mkdir -p $(HTTP_DIR)/profiles
-	./exegpt sweep -quick -models OPT-13B -tasks S,T \
-		-profile-cache $(HTTP_DIR)/profiles -json $(HTTP_DIR)/single.json > /dev/null
-	./exegpt dispatch -quick -models OPT-13B -tasks S,T \
-		-profile-cache $(HTTP_DIR)/profiles -http $(HTTP_ADDR) \
-		-lease-timeout 3s -dispatch-idle 60s -json $(HTTP_DIR)/http.json > /dev/null & \
-	./exegpt sweep -quick -models OPT-13B -tasks S,T \
-		-profile-cache $(HTTP_DIR)/profiles -mode pull -connect http://$(HTTP_ADDR) -worker-id w1 & \
-	W1=$$!; sleep 0.3; kill -9 $$W1 2>/dev/null; \
-	./exegpt sweep -quick -models OPT-13B -tasks S,T -dispatch-idle 15s \
-		-profile-cache $(HTTP_DIR)/profiles -mode pull -connect http://$(HTTP_ADDR) -worker-id w2 || true; \
-	wait
-	cmp $(HTTP_DIR)/single.json $(HTTP_DIR)/http.json
-	@echo "HTTP-dispatched sweep == single-process sweep (byte-identical)"
-
-# Crash-and-resume HTTP sweep: a journaled HTTP coordinator is
-# SIGKILLed mid-run (one of its workers is too), then a fresh
-# coordinator replays the journal on the same address and finishes the
-# remaining cells; the resumed artifact must be byte-identical to the
-# single-process sweep's. -requests 20000 slows each cell to ~1s so the
-# kill reliably lands while cells are still outstanding (a kill landing
-# after completion still resumes and compares clean — just less
-# interestingly).
-RESUME_DIR := .resume-demo
-RESUME_ADDR := 127.0.0.1:18091
-RESUME_GRID := -quick -requests 20000 -models OPT-13B -tasks S,T,G
-sweep-resume: build
-	rm -rf $(RESUME_DIR) && mkdir -p $(RESUME_DIR)/profiles
-	./exegpt sweep $(RESUME_GRID) \
-		-profile-cache $(RESUME_DIR)/profiles -json $(RESUME_DIR)/single.json > /dev/null
-	./exegpt dispatch $(RESUME_GRID) \
-		-profile-cache $(RESUME_DIR)/profiles -http $(RESUME_ADDR) \
-		-journal $(RESUME_DIR)/journal \
-		-lease-timeout 3s -dispatch-idle 60s > /dev/null & \
-	C1=$$!; \
-	./exegpt sweep $(RESUME_GRID) \
-		-profile-cache $(RESUME_DIR)/profiles -mode pull -connect http://$(RESUME_ADDR) -worker-id w1 & \
-	W1=$$!; \
-	./exegpt sweep $(RESUME_GRID) -dispatch-idle 30s \
-		-profile-cache $(RESUME_DIR)/profiles -mode pull -connect http://$(RESUME_ADDR) -worker-id w2 || true & \
-	sleep 0.3; kill -9 $$W1 2>/dev/null; \
-	sleep 1.0; kill -9 $$C1 2>/dev/null; \
-	./exegpt sweep $(RESUME_GRID) \
-		-profile-cache $(RESUME_DIR)/profiles -mode dispatch -http $(RESUME_ADDR) \
-		-dispatch-workers 1 -journal $(RESUME_DIR)/journal \
-		-lease-timeout 3s -dispatch-idle 60s -json $(RESUME_DIR)/resumed.json > /dev/null; \
-	wait
-	cmp $(RESUME_DIR)/single.json $(RESUME_DIR)/resumed.json
-	@echo "journal-resumed sweep == single-process sweep (byte-identical)"
-
-# Self-healing supervised sweep: one HTTP coordinator owns its worker
-# fleet via -scale-min/-scale-max — it starts one local pull worker,
-# scales to three on queue depth, and when one worker is SIGKILLed
-# mid-lease the supervisor replaces it with the slot's next incarnation
-# after a backoff. The coordinator's stderr must show both the scale-up
-# and the replacement, and the final artifact must be byte-identical to
-# the single-process sweep's. -requests 60000 slows each cell to a few
-# seconds so the kill reliably lands mid-lease.
-SCALE_DIR := .scale-demo
-SCALE_ADDR := 127.0.0.1:18095
-SCALE_GRID := -quick -requests 60000 -models OPT-13B -tasks S,T,G
-sweep-scale: build
-	rm -rf $(SCALE_DIR) && mkdir -p $(SCALE_DIR)/profiles
-	./exegpt sweep $(SCALE_GRID) \
-		-profile-cache $(SCALE_DIR)/profiles -json $(SCALE_DIR)/single.json > /dev/null
-	./exegpt sweep $(SCALE_GRID) -mode dispatch -http $(SCALE_ADDR) \
-		-profile-cache $(SCALE_DIR)/profiles \
-		-scale-min 1 -scale-max 3 \
-		-lease-timeout 3s -dispatch-idle 120s \
-		-json $(SCALE_DIR)/scaled.json > /dev/null 2> $(SCALE_DIR)/coord.log & \
-	C1=$$!; \
-	sleep 2.0; pkill -9 -f 'worker-id [s]0r0' 2>/dev/null || true; \
-	wait $$C1
-	grep -q 'supervisor: started worker s2r0' $(SCALE_DIR)/coord.log
-	grep -q 'supervisor: started worker s0r1' $(SCALE_DIR)/coord.log
-	cmp $(SCALE_DIR)/single.json $(SCALE_DIR)/scaled.json
-	@echo "self-healing autoscaled sweep == single-process sweep (byte-identical)"
+# End-to-end distributed sweeps on one box: file-spool and HTTP
+# coordinators with killed and replaced workers, forked fleets over
+# both transports, a SIGKILLed journaled coordinator resumed from its
+# journal, and a self-healing supervised fleet. Every scenario must
+# reproduce the single-process sweep's JSON artifact and printed table
+# byte for byte; the scenarios live in scripts/dist_smoke.sh.
+dist-smoke: build
+	./scripts/dist_smoke.sh
 
 # Online-serving smoke: run a deterministic serving scenario — a rate
 # step that fires one schedule switch — and require the JSON artifact
@@ -185,4 +71,4 @@ bench-report: build
 
 clean:
 	rm -f exegpt
-	rm -rf $(SHARD_DIR) $(DISPATCH_DIR) $(HTTP_DIR) $(RESUME_DIR) $(SCALE_DIR) $(SERVE_DIR)
+	rm -rf .dist-smoke $(SERVE_DIR)

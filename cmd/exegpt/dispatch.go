@@ -422,9 +422,9 @@ func runDispatch(ctx *experiments.Context, grid experiments.SweepGrid, g *gridFl
 			"-retry-base", opts.RetryBase.String(),
 			"-retry-max", opts.RetryMax.String()}
 		if connectURL != "" {
-			return append([]string{"-pull", "-connect", connectURL}, args...)
+			return append([]string{"-mode", "pull", "-connect", connectURL}, args...)
 		}
-		return append([]string{"-pull", "-spool", spoolDir}, args...)
+		return append([]string{"-mode", "pull", "-spool", spoolDir}, args...)
 	}
 
 	intr := installInterrupt(&cfg)
@@ -497,7 +497,7 @@ func runDispatch(ctx *experiments.Context, grid experiments.SweepGrid, g *gridFl
 			return err
 		}
 		// All pull workers run on this box: split the worker budget
-		// across them, as -mode spawn does for static shards.
+		// across them instead of multiplying the two parallelism levels.
 		budget := ctx.Workers
 		if budget <= 0 {
 			budget = runtime.GOMAXPROCS(0)
@@ -552,9 +552,9 @@ func runDispatch(ctx *experiments.Context, grid experiments.SweepGrid, g *gridFl
 
 // cmdDispatch is the serve mode: a standalone work-stealing coordinator
 // over a spool directory or an HTTP listener, for fleets whose workers
-// the operator launches and re-launches at will (`exegpt sweep -pull
-// -connect URL` / `-pull -spool DIR` per host, at any time during the
-// sweep). It evaluates nothing itself.
+// the operator launches and re-launches at will (`exegpt sweep -mode
+// pull -connect URL` / `-mode pull -spool DIR` per host, at any time
+// during the sweep). It evaluates nothing itself.
 func cmdDispatch(args []string) error {
 	fs := flag.NewFlagSet("dispatch", flag.ExitOnError)
 	newCtx := commonFlags(fs)
@@ -562,7 +562,7 @@ func cmdDispatch(args []string) error {
 	d := dispatchFlags(fs)
 	scf := scaleFlags(fs)
 	spoolDir := fs.String("spool", "", "serve over this spool directory shared with the pull workers")
-	httpAddr := fs.String("http", "", "serve the coordinator's HTTP API on this address (host:port; workers attach with sweep -pull -connect)")
+	httpAddr := fs.String("http", "", "serve the coordinator's HTTP API on this address (host:port; workers attach with sweep -mode pull -connect)")
 	journalDir := fs.String("journal", "", "journal every accepted result in this directory; rerunning with the same directory resumes an interrupted sweep")
 	jsonOut := fs.String("json", "", "write the merged sweep (rows, evals, frontiers) as JSON to this file")
 	if err := fs.Parse(args); err != nil {
@@ -634,9 +634,9 @@ func cmdDispatch(args []string) error {
 		argv := func(id string) []string {
 			args := g.workerArgs(ctx, perWorker)
 			if connectURL != "" {
-				args = append(args, "-pull", "-connect", connectURL)
+				args = append(args, "-mode", "pull", "-connect", connectURL)
 			} else {
-				args = append(args, "-pull", "-spool", *spoolDir)
+				args = append(args, "-mode", "pull", "-spool", *spoolDir)
 			}
 			return append(args, "-worker-id", id,
 				"-lease-cells", strconv.Itoa(opts.LeaseCells),

@@ -11,12 +11,9 @@
 //	                         reporting, adaptive schedule switching gated
 //	                         by -switch-cost; -json writes the artifact
 //	exegpt sweep   [flags]   grid-evaluate deployments x tasks; -mode
-//	                         selects the distribution role: single,
-//	                         worker/spawn (static shards), dispatch/pull
-//	                         (dynamic work stealing over a file spool or
-//	                         HTTP)
-//	exegpt merge   [flags]   merge sharded-sweep envelopes into the
-//	                         single-process sweep output
+//	                         selects the distribution role: single, or
+//	                         dispatch/pull (dynamic work stealing over a
+//	                         file spool or HTTP)
 //	exegpt dispatch [flags]  serve a work-stealing sweep coordinator over
 //	                         a -spool directory or a -http address
 //	                         (workers: sweep -mode pull)
@@ -55,8 +52,6 @@ func main() {
 		err = cmdServe(args)
 	case "sweep":
 		err = cmdSweep(args)
-	case "merge":
-		err = cmdMerge(args)
 	case "dispatch":
 		err = cmdDispatch(args)
 	case "figures":
@@ -91,15 +86,11 @@ Commands:
             beats the modeled drain + re-shard cost (-switch-cost); same
             seed and flags produce a byte-identical -json artifact
   sweep     grid-evaluate deployments x tasks, parallel across deployments;
-            -mode picks the distribution role: single (default), worker or
-            spawn (static shards across processes), dispatch (work-stealing
-            coordinator over a file -spool or an -http API) or pull (worker
-            attaching via -spool or -connect URL); the legacy
-            -shard-index/-spawn/-dispatch/-pull spellings still work;
+            -mode picks the distribution role: single (default), dispatch
+            (work-stealing coordinator over a file -spool or an -http API)
+            or pull (worker attaching via -spool or -connect URL);
             -journal DIR makes a dispatch sweep crash-safe and resumable
             (rerun with the same flags to pick it back up)
-  merge     merge shard envelopes (exegpt sweep -shards ... -out ...) into
-            the single-process sweep output
   dispatch  serve a standalone work-stealing coordinator over a -spool
             directory or an -http address; operators attach "exegpt sweep
             -mode pull" workers at any time, from any reachable host;

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -13,17 +12,48 @@ import (
 	"exegpt/internal/sched"
 )
 
+// sweepFlagSet is every flag `exegpt sweep` reads.
+type sweepFlagSet struct {
+	newCtx          func() *experiments.Context
+	grid            *gridFlagSet
+	dispatch        *dispatchFlagSet
+	scale           *scaleFlagSet
+	mode            *string
+	jsonOut         *string
+	dispatchWorkers *int
+	hosts           *string
+	remoteBin       *string
+	spool           *string
+	http            *string
+	connect         *string
+	workerID        *string
+	journal         *string
+}
+
+func sweepFlags(fs *flag.FlagSet) *sweepFlagSet {
+	return &sweepFlagSet{
+		newCtx:          commonFlags(fs),
+		grid:            gridFlags(fs),
+		mode:            fs.String("mode", string(modeSingle), "distribution mode: single, dispatch or pull"),
+		jsonOut:         fs.String("json", "", "write the merged sweep (rows, evals, frontiers) as JSON to this file"),
+		dispatchWorkers: fs.Int("dispatch-workers", 2, "dispatch mode (no -hosts): how many local pull workers to fork"),
+		hosts:           fs.String("hosts", "", "dispatch mode: comma-separated ssh hosts to launch one pull worker on each (needs a shared -spool path or a routable -http address)"),
+		remoteBin:       fs.String("remote-bin", "exegpt", "with -hosts: the exegpt binary path on the remote hosts"),
+		spool:           fs.String("spool", "", "file-spool directory for dispatch/pull modes (default in dispatch mode: a temp dir, removed after the merge)"),
+		http:            fs.String("http", "", "dispatch mode: serve the coordinator's HTTP API on this host:port instead of a file spool"),
+		connect:         fs.String("connect", "", "pull mode: attach to the coordinator's HTTP API at this URL (e.g. http://gpu1:8080)"),
+		workerID:        fs.String("worker-id", "", "pull mode: this worker's name in leases and logs (default: host-pid)"),
+		journal:         fs.String("journal", "", "dispatch mode: journal every accepted result in this directory; rerunning with the same directory resumes an interrupted sweep"),
+		dispatch:        dispatchFlags(fs),
+		scale:           scaleFlags(fs),
+	}
+}
+
 // cmdSweep grid-evaluates deployments x tasks, parallel across
-// deployments — and, across processes, in one of five distribution
-// modes, selected explicitly with -mode or implied by the legacy flags:
+// deployments — and, across processes, in one of three modes selected
+// with -mode:
 //
 //	-mode single (default)                one process, print the table
-//	-mode worker   [-shards N -shard-index i -out shard_i.json]
-//	                                      static worker: evaluate one
-//	                                      round-robin shard, write its
-//	                                      envelope
-//	-mode spawn    [-shards N]            static coordinator: fork N
-//	                                      local workers, merge, print
 //	-mode dispatch                        work-stealing coordinator: fork
 //	                                      -dispatch-workers local pull
 //	                                      workers (file spool, or HTTP
@@ -35,41 +65,19 @@ import (
 //	                                      the coordinator until it says
 //	                                      Stop; attachable at any time
 //
-// The legacy spellings (-shard-index → worker, -spawn → spawn,
-// -dispatch → dispatch, -pull → pull) keep working and map onto the
-// same modes. Workers sharing a -profile-cache directory profile each
-// (model, sub-cluster) once between them. Every multi-process mode
-// produces output bit-identical to the single-process sweep (see
+// Workers sharing a -profile-cache directory profile each (model,
+// sub-cluster) once between them. Every multi-process mode produces
+// output bit-identical to the single-process sweep (see
 // internal/distsweep and internal/dispatch).
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	newCtx := commonFlags(fs)
-	g := gridFlags(fs)
-	mode := fs.String("mode", "", "distribution mode: single, worker, spawn, dispatch or pull (default: implied by -shard-index/-spawn/-dispatch/-pull, else single)")
-	shards := fs.Int("shards", 1, "split the sweep into this many round-robin shards")
-	shardIndex := fs.Int("shard-index", -1, "worker mode: evaluate only this shard and write its envelope to -out")
-	outPath := fs.String("out", "", "worker mode: shard envelope output path (required)")
-	spawn := fs.Bool("spawn", false, "spawn mode: fork one local worker process per shard, merge, print the table")
-	shardDir := fs.String("shard-dir", "", "spawn mode: directory for shard envelopes (default: a temp dir, removed after the merge)")
-	jsonOut := fs.String("json", "", "write the merged sweep (rows, evals, frontiers) as JSON to this file")
-	dispatchMode := fs.Bool("dispatch", false, "dispatch mode: work-stealing coordinator leasing cells to pull workers, merge, print the table")
-	dispatchWorkers := fs.Int("dispatch-workers", 2, "dispatch mode (no -hosts): how many local pull workers to fork")
-	hosts := fs.String("hosts", "", "dispatch mode: comma-separated ssh hosts to launch one pull worker on each (needs a shared -spool path or a routable -http address)")
-	remoteBin := fs.String("remote-bin", "exegpt", "with -hosts: the exegpt binary path on the remote hosts")
-	pull := fs.Bool("pull", false, "pull mode: lease and evaluate cells from the coordinator on -spool or -connect")
-	spoolDir := fs.String("spool", "", "file-spool directory for dispatch/pull modes (default in dispatch mode: a temp dir, removed after the merge)")
-	httpAddr := fs.String("http", "", "dispatch mode: serve the coordinator's HTTP API on this host:port instead of a file spool")
-	connect := fs.String("connect", "", "pull mode: attach to the coordinator's HTTP API at this URL (e.g. http://gpu1:8080)")
-	workerID := fs.String("worker-id", "", "pull mode: this worker's name in leases and logs (default: host-pid)")
-	journalDir := fs.String("journal", "", "dispatch mode: journal every accepted result in this directory; rerunning with the same directory resumes an interrupted sweep")
-	d := dispatchFlags(fs)
-	scf := scaleFlags(fs)
+	f := sweepFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	ctx := newCtx()
-	grid, err := g.build(ctx)
+	ctx := f.newCtx()
+	grid, err := f.grid.build(ctx)
 	if err != nil {
 		return err
 	}
@@ -77,118 +85,44 @@ func cmdSweep(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards %d < 1", *shards)
-	}
-	opts, err := d.options()
+	opts, err := f.dispatch.options()
 	if err != nil {
 		return err
 	}
-	sc, err := scf.params(ctx.Seed)
+	sc, err := f.scale.params(ctx.Seed)
 	if err != nil {
 		return err
 	}
-	m, err := resolveSweepMode(*mode, *shardIndex >= 0, *spawn, *dispatchMode, *pull)
+	m, err := resolveSweepMode(*f.mode)
 	if err != nil {
 		return err
 	}
 	if err := validateSweepMode(m, sweepModeFlags{
-		shards: *shards, out: *outPath, shardDir: *shardDir, hosts: *hosts,
-		spool: *spoolDir, http: *httpAddr, connect: *connect, workerID: *workerID,
-		journal: *journalDir, scaleMax: sc.max,
+		hosts: *f.hosts, spool: *f.spool, http: *f.http, connect: *f.connect,
+		workerID: *f.workerID, journal: *f.journal, json: *f.jsonOut, scaleMax: sc.max,
 	}); err != nil {
 		return err
 	}
 
 	switch m {
 	case modePull:
-		return runPullWorker(ctx, grid, fp, *spoolDir, *connect, *workerID, opts)
-
+		return runPullWorker(ctx, grid, fp, *f.spool, *f.connect, *f.workerID, opts)
 	case modeDispatch:
-		return runDispatch(ctx, grid, g, fp, *spoolDir, *httpAddr, *hosts, *remoteBin,
-			*dispatchWorkers, opts, sc, *journalDir, *jsonOut)
-
-	case modeWorker:
-		idx := *shardIndex
-		if idx < 0 {
-			return fmt.Errorf("-mode worker needs -shard-index (which shard this worker evaluates)")
-		}
-		cells, err := ctx.SweepShard(grid, *shards, idx)
-		if err != nil {
-			return err
-		}
-		env := distsweep.NewEnvelope(fp, *shards, idx, cells)
-		if err := env.WriteFile(*outPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "sweep: shard %d/%d: %d cells -> %s\n",
-			idx, *shards, len(cells), *outPath)
-		return nil
-
-	case modeSpawn:
-		dir := *shardDir
-		if dir == "" {
-			tmp, err := os.MkdirTemp("", "exegpt-shards-")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(tmp)
-			dir = tmp
-		}
-		if ctx.ProfileCacheDir == "" {
-			// Workers re-profile from scratch without a shared cache;
-			// give them one so each (model, sub-cluster) profiles once.
-			ctx.ProfileCacheDir = dir
-		}
-		bin, err := os.Executable()
-		if err != nil {
-			return err
-		}
-		// All shard workers run on this box: split the worker budget
-		// across them instead of multiplying the two parallelism
-		// levels, mirroring what the in-process sweep does for its
-		// cell/scheduler levels. (Worker counts never change results,
-		// only wall time.)
-		budget := ctx.Workers
-		if budget <= 0 {
-			budget = runtime.GOMAXPROCS(0)
-		}
-		perWorker := budget / *shards
-		if perWorker < 1 {
-			perWorker = 1
-		}
-		fmt.Fprintf(os.Stderr, "sweep: spawning %d shard workers (envelopes in %s)\n", *shards, dir)
-		paths, err := distsweep.SpawnLocal(bin, g.workerArgs(ctx, perWorker), *shards, dir)
-		if err != nil {
-			return err
-		}
-		merged, err := distsweep.MergeFiles(paths)
-		if err != nil {
-			return err
-		}
-		if merged.Fingerprint != fp {
-			return fmt.Errorf("worker fingerprint %.12s… differs from coordinator %.12s… (flag plumbing drift?)",
-				merged.Fingerprint, fp)
-		}
-		return printMerged(merged, grid, *jsonOut)
-
-	default:
-		if *shards > 1 {
-			return fmt.Errorf("-shards %d needs either -spawn (fork local workers) or -shard-index (run as one worker)", *shards)
-		}
-		cells, err := ctx.SweepShard(grid, 1, 0)
-		if err != nil {
-			return err
-		}
-		// Route the single-process result through the same envelope +
-		// merge path the sharded run uses, so the two artifacts are
-		// byte-identical by construction.
-		merged, err := distsweep.Merge([]*distsweep.Envelope{distsweep.NewEnvelope(fp, 1, 0, cells)})
-		if err != nil {
-			return err
-		}
-		return printMerged(merged, grid, *jsonOut)
+		return runDispatch(ctx, grid, f.grid, fp, *f.spool, *f.http, *f.hosts, *f.remoteBin,
+			*f.dispatchWorkers, opts, sc, *f.journal, *f.jsonOut)
 	}
+	cells, err := ctx.SweepCells(grid, grid.CellIndices())
+	if err != nil {
+		return err
+	}
+	// Route the single-process result through the same fold the
+	// dispatched run uses, so the two artifacts are byte-identical by
+	// construction.
+	merged, err := distsweep.Merge([]*distsweep.Envelope{distsweep.NewEnvelope(fp, 1, 0, cells)})
+	if err != nil {
+		return err
+	}
+	return printMerged(merged, grid, *f.jsonOut)
 }
 
 // printMerged prints the sweep header + table and optionally writes the

@@ -2,76 +2,34 @@ package main
 
 import "fmt"
 
-// sweepMode is the explicit distribution-mode selector for `exegpt
-// sweep`. Before -mode existed the mode was implied by which of
-// -shard-index / -spawn / -dispatch / -pull was set; those spellings
-// keep working, and resolveSweepMode reconciles the two: an explicit
-// -mode that contradicts a legacy flag is an error rather than a
-// silent override.
+// sweepMode is the distribution-mode selector of `exegpt sweep`.
 type sweepMode string
 
 const (
 	modeSingle   sweepMode = "single"
-	modeWorker   sweepMode = "worker"
-	modeSpawn    sweepMode = "spawn"
 	modeDispatch sweepMode = "dispatch"
 	modePull     sweepMode = "pull"
 )
 
-// resolveSweepMode reconciles the explicit -mode flag with the legacy
-// mode-implying flags.
-func resolveSweepMode(explicit string, shardIndexSet, spawn, dispatch, pull bool) (sweepMode, error) {
-	var implied []sweepMode
-	for _, c := range []struct {
-		on   bool
-		m    sweepMode
-		flag string
-	}{
-		{shardIndexSet, modeWorker, "-shard-index"},
-		{spawn, modeSpawn, "-spawn"},
-		{dispatch, modeDispatch, "-dispatch"},
-		{pull, modePull, "-pull"},
-	} {
-		if c.on {
-			implied = append(implied, c.m)
-		}
+// resolveSweepMode parses the -mode flag.
+func resolveSweepMode(s string) (sweepMode, error) {
+	switch m := sweepMode(s); m {
+	case modeSingle, modeDispatch, modePull:
+		return m, nil
 	}
-	if len(implied) > 1 {
-		return "", fmt.Errorf("-shard-index, -spawn, -dispatch and -pull are mutually exclusive (or use -mode)")
-	}
-
-	if explicit == "" {
-		if len(implied) == 1 {
-			return implied[0], nil
-		}
-		return modeSingle, nil
-	}
-	m := sweepMode(explicit)
-	switch m {
-	case modeSingle, modeWorker, modeSpawn, modeDispatch, modePull:
-	default:
-		return "", fmt.Errorf("unknown -mode %q (single, worker, spawn, dispatch or pull)", explicit)
-	}
-	// -mode worker + -shard-index is the natural spelling, not a
-	// conflict; only a *different* implied mode contradicts -mode.
-	if len(implied) == 1 && implied[0] != m {
-		return "", fmt.Errorf("-mode %s conflicts with the legacy flag implying %s mode", m, implied[0])
-	}
-	return m, nil
+	return "", fmt.Errorf("unknown -mode %q (single, dispatch or pull)", s)
 }
 
 // sweepModeFlags carries the distribution flags that only some modes
 // accept, for per-mode validation.
 type sweepModeFlags struct {
-	shards   int
-	out      string
-	shardDir string
 	hosts    string
 	spool    string
 	http     string
 	connect  string
 	workerID string
 	journal  string
+	json     string
 	scaleMax int
 }
 
@@ -92,24 +50,9 @@ func validateSweepMode(m sweepMode, f sweepModeFlags) error {
 	}
 	switch m {
 	case modeSingle:
-		if f.shards > 1 {
-			return fmt.Errorf("-shards %d needs either -mode spawn (fork local workers) or -mode worker -shard-index i (run as one worker)", f.shards)
-		}
-		return reject([2]string{"-out", f.out}, [2]string{"-shard-dir", f.shardDir},
-			[2]string{"-hosts", f.hosts}, [2]string{"-spool", f.spool},
-			[2]string{"-http", f.http}, [2]string{"-connect", f.connect},
-			[2]string{"-worker-id", f.workerID}, [2]string{"-journal", f.journal})
-	case modeWorker:
-		if f.out == "" {
-			return fmt.Errorf("-mode worker needs -out for the shard envelope")
-		}
 		return reject([2]string{"-hosts", f.hosts}, [2]string{"-spool", f.spool},
 			[2]string{"-http", f.http}, [2]string{"-connect", f.connect},
-			[2]string{"-journal", f.journal})
-	case modeSpawn:
-		return reject([2]string{"-out", f.out}, [2]string{"-hosts", f.hosts},
-			[2]string{"-spool", f.spool}, [2]string{"-http", f.http},
-			[2]string{"-connect", f.connect}, [2]string{"-journal", f.journal})
+			[2]string{"-worker-id", f.workerID}, [2]string{"-journal", f.journal})
 	case modeDispatch:
 		if f.spool != "" && f.http != "" {
 			return fmt.Errorf("-mode dispatch uses one transport: -spool DIR (file spool) or -http ADDR (HTTP API), not both")
@@ -117,15 +60,15 @@ func validateSweepMode(m sweepMode, f sweepModeFlags) error {
 		if f.scaleMax > 0 && f.hosts != "" {
 			return fmt.Errorf("-scale-max supervises local workers; an ssh fleet (-hosts) is fixed — pick one")
 		}
-		return reject([2]string{"-out", f.out}, [2]string{"-shard-dir", f.shardDir},
-			[2]string{"-connect", f.connect})
+		return reject([2]string{"-connect", f.connect})
 	case modePull:
 		if (f.spool == "") == (f.connect == "") {
 			return fmt.Errorf("-mode pull attaches to exactly one coordinator: give -spool DIR (file spool) or -connect URL (HTTP API)")
 		}
-		return reject([2]string{"-out", f.out}, [2]string{"-shard-dir", f.shardDir},
-			[2]string{"-hosts", f.hosts}, [2]string{"-http", f.http},
-			[2]string{"-journal", f.journal})
+		// A pull worker streams its cells to the coordinator, which
+		// writes the merged artifact; the worker has none to write.
+		return reject([2]string{"-hosts", f.hosts}, [2]string{"-http", f.http},
+			[2]string{"-journal", f.journal}, [2]string{"-json", f.json})
 	}
 	return nil
 }

@@ -1,33 +1,48 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"strings"
 	"testing"
 )
 
+// TestResolveSweepMode parses sweep argument lists with the real sweep
+// flag set. -mode is the only mode selector: the retired static-shard
+// modes and the old mode-implying flags must fail loudly rather than
+// fall back to a single-process run.
 func TestResolveSweepMode(t *testing.T) {
+	const undefined = "flag provided but not defined"
 	cases := []struct {
-		name                          string
-		explicit                      string
-		shardIndex, spawn, disp, pull bool
-		want                          sweepMode
-		wantErr                       string
+		name    string
+		args    []string
+		want    sweepMode
+		wantErr string
 	}{
 		{name: "default single", want: modeSingle},
-		{name: "legacy shard-index", shardIndex: true, want: modeWorker},
-		{name: "legacy spawn", spawn: true, want: modeSpawn},
-		{name: "legacy dispatch", disp: true, want: modeDispatch},
-		{name: "legacy pull", pull: true, want: modePull},
-		{name: "explicit pull", explicit: "pull", want: modePull},
-		{name: "explicit matches legacy", explicit: "dispatch", disp: true, want: modeDispatch},
-		{name: "worker keeps shard-index", explicit: "worker", shardIndex: true, want: modeWorker},
-		{name: "unknown mode", explicit: "serverless", wantErr: "unknown -mode"},
-		{name: "conflicting legacy pair", spawn: true, pull: true, wantErr: "mutually exclusive"},
-		{name: "explicit contradicts legacy", explicit: "spawn", pull: true, wantErr: "conflicts"},
+		{name: "explicit pull", args: []string{"-mode", "pull"}, want: modePull},
+		{name: "explicit dispatch", args: []string{"-mode", "dispatch"}, want: modeDispatch},
+		{name: "unknown mode", args: []string{"-mode", "serverless"}, wantErr: "unknown -mode"},
+		{name: "retired worker mode", args: []string{"-mode", "worker"}, wantErr: "unknown -mode"},
+		{name: "retired spawn mode", args: []string{"-mode", "spawn"}, wantErr: "unknown -mode"},
+		{name: "legacy shards", args: []string{"-shards", "2"}, wantErr: undefined},
+		{name: "legacy spawn", args: []string{"-spawn"}, wantErr: undefined},
+		{name: "legacy dispatch", args: []string{"-dispatch"}, wantErr: undefined},
+		{name: "legacy pull", args: []string{"-pull"}, wantErr: undefined},
+		{name: "explicit matches legacy", args: []string{"-mode", "dispatch", "-dispatch"}, wantErr: undefined},
+		{name: "conflicting legacy pair", args: []string{"-spawn", "-pull"}, wantErr: undefined},
+		{name: "explicit contradicts legacy", args: []string{"-mode", "spawn", "-pull"}, wantErr: undefined},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got, err := resolveSweepMode(c.explicit, c.shardIndex, c.spawn, c.disp, c.pull)
+			fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			f := sweepFlags(fs)
+			var got sweepMode
+			err := fs.Parse(c.args)
+			if err == nil {
+				got, err = resolveSweepMode(*f.mode)
+			}
 			if c.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 					t.Fatalf("got (%q, %v), want error containing %q", got, err, c.wantErr)
@@ -48,14 +63,10 @@ func TestValidateSweepMode(t *testing.T) {
 		f       sweepModeFlags
 		wantErr string
 	}{
-		{name: "single plain", m: modeSingle, f: sweepModeFlags{shards: 1}},
-		{name: "single with shards", m: modeSingle, f: sweepModeFlags{shards: 4}, wantErr: "-shards 4"},
-		{name: "single with connect", m: modeSingle, f: sweepModeFlags{shards: 1, connect: "http://x"}, wantErr: "does not use -connect"},
-		{name: "worker ok", m: modeWorker, f: sweepModeFlags{shards: 4, out: "s.json"}},
-		{name: "worker missing out", m: modeWorker, f: sweepModeFlags{shards: 4}, wantErr: "-out"},
-		{name: "worker with spool", m: modeWorker, f: sweepModeFlags{out: "s.json", spool: "/s"}, wantErr: "does not use -spool"},
-		{name: "spawn ok", m: modeSpawn, f: sweepModeFlags{shards: 4, shardDir: "/tmp/x"}},
-		{name: "spawn with http", m: modeSpawn, f: sweepModeFlags{http: ":8080"}, wantErr: "does not use -http"},
+		{name: "single plain", m: modeSingle},
+		{name: "single with json", m: modeSingle, f: sweepModeFlags{json: "out.json"}},
+		{name: "single with connect", m: modeSingle, f: sweepModeFlags{connect: "http://x"}, wantErr: "does not use -connect"},
+		{name: "single with scale-max", m: modeSingle, f: sweepModeFlags{scaleMax: 3}, wantErr: "no fleet to scale"},
 		{name: "dispatch spool", m: modeDispatch, f: sweepModeFlags{spool: "/s"}},
 		{name: "dispatch http", m: modeDispatch, f: sweepModeFlags{http: ":8080", hosts: "a,b"}},
 		{name: "dispatch both transports", m: modeDispatch, f: sweepModeFlags{spool: "/s", http: ":8080"}, wantErr: "not both"},
@@ -65,6 +76,7 @@ func TestValidateSweepMode(t *testing.T) {
 		{name: "pull neither", m: modePull, wantErr: "exactly one coordinator"},
 		{name: "pull both", m: modePull, f: sweepModeFlags{spool: "/s", connect: "http://x"}, wantErr: "exactly one coordinator"},
 		{name: "pull with hosts", m: modePull, f: sweepModeFlags{connect: "http://x", hosts: "a"}, wantErr: "does not use -hosts"},
+		{name: "pull with json", m: modePull, f: sweepModeFlags{connect: "http://x", json: "out.json"}, wantErr: "does not use -json"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package atomicfile writes files atomically via a same-directory temp
 // file and rename, so concurrent readers only ever observe complete
-// files — the contract the shared profile cache and the shard-envelope
-// pipeline both rely on when multiple sweep worker processes touch one
+// files — the contract the shared profile cache and the file-spool
+// transport both rely on when multiple sweep worker processes touch one
 // directory.
 package atomicfile
 

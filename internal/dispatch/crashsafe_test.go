@@ -102,7 +102,7 @@ func TestJournalResumeRealGridByteIdentical(t *testing.T) {
 	}
 	total := len(grid.Cells())
 
-	cells, err := ctx.SweepShard(grid, 1, 0)
+	cells, err := ctx.SweepCells(grid, grid.CellIndices())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
-// Package dispatch replaces the static round-robin shard partition of
-// internal/distsweep with dynamic, cell-level work stealing: a
-// pull-based coordinator owns the canonical SweepGrid cell list as a
-// lease queue, and workers — local goroutines, forked processes, or
-// processes on other hosts — repeatedly request a batch of cells,
-// evaluate them, and stream back one distsweep.CellEnvelope per cell.
+// Package dispatch distributes a sweep across workers by dynamic,
+// cell-level work stealing: a pull-based coordinator owns the canonical
+// SweepGrid cell list as a lease queue, and workers — local goroutines,
+// forked processes, or processes on other hosts — repeatedly request a
+// batch of cells, evaluate them, and stream back one
+// distsweep.CellEnvelope per cell.
 //
 // The protocol is lease → heartbeat/deadline → result or requeue. A
 // worker that stops heartbeating (crashed, partitioned, or just slow

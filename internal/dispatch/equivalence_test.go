@@ -47,7 +47,7 @@ func TestDispatchRealGridByteIdentical(t *testing.T) {
 
 	// Single-process reference artifact, via the same envelope + merge
 	// path the CLI uses.
-	cells, err := ctx.SweepShard(grid, 1, 0)
+	cells, err := ctx.SweepCells(grid, grid.CellIndices())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,12 +48,23 @@ func TestStatusExplainsExclusion(t *testing.T) {
 	}
 	res := startCoord(sh, cfg)
 
+	// The good worker starts only once the bad one holds a lease and
+	// has failed a cell of it; started together, the good worker could
+	// finish the whole grid before the bad one ever asked for work.
+	// The coordinator cannot finish while the bad lease is open, so the
+	// failure is charged before the final status is published.
+	failed := make(chan struct{})
+	var once sync.Once
 	bad := fastWorker("bad", fp, n)
 	bad.Eval = func(c int) (experiments.CellResult, error) {
+		once.Do(func() { close(failed) })
 		return experiments.CellResult{}, &testErr{"kernel panic"}
 	}
 	go bad.Run(sh.Worker("bad"))
-	go fastWorker("good", fp, n).Run(sh.Worker("good"))
+	go func() {
+		<-failed
+		fastWorker("good", fp, n).Run(sh.Worker("good"))
+	}()
 
 	r := <-res
 	if r.err != nil {

@@ -1,11 +1,10 @@
 // Cell-granular envelopes: the wire unit of the dynamic work-stealing
-// dispatcher (internal/dispatch). Where the static sharding pipeline
-// ships one Envelope per whole shard, a pull worker streams one
+// dispatcher (internal/dispatch). A pull worker streams one
 // CellEnvelope per evaluated cell, so the coordinator can account for —
 // and re-lease — individual cells when a worker stalls or dies. The
-// same fingerprint and coverage checks apply, and MergeCells folds a
-// complete cell set through the same core as Merge, so the merged
-// artifact stays byte-identical to a single-process Sweep's.
+// fingerprint and coverage checks match Envelope's, and MergeCells
+// folds a complete cell set through the same core as Merge, so the
+// merged artifact stays byte-identical to a single-process Sweep's.
 package distsweep
 
 import (
@@ -98,8 +97,8 @@ func (e *CellEnvelope) WriteFile(path string) error {
 }
 
 // MergeCells folds a complete cell-envelope set into one sweep result,
-// byte-identical to what Merge produces from whole-shard envelopes of
-// the same grid. It fails when envelopes disagree on format version,
+// byte-identical to what Merge produces from whole-partition envelopes
+// of the same grid. It fails when envelopes disagree on format version,
 // fingerprint or grid size, or when the set is not exactly one envelope
 // per cell 0..Total-1.
 func MergeCells(envs []*CellEnvelope) (*Merged, error) {

@@ -37,6 +37,8 @@ func TestCellEnvelopeRoundTrip(t *testing.T) {
 	for _, cut := range []int{0, 1, len(data) / 2, len(data) - 2} {
 		if _, err := DecodeCell(data[:cut]); err == nil {
 			t.Fatalf("truncation at %d silently decoded", cut)
+		} else if !strings.Contains(err.Error(), "corrupt") {
+			t.Fatalf("truncation at %d: error %q does not say corrupt", cut, err)
 		}
 	}
 }
@@ -127,7 +129,7 @@ func TestCellFileRoundTrip(t *testing.T) {
 
 // TestMergeCellsRealGrid: evaluating a real grid cell-by-cell through
 // SweepCells and folding the per-cell envelopes reproduces the
-// whole-shard pipeline byte-identically.
+// single-process whole-grid path byte-identically.
 func TestMergeCellsRealGrid(t *testing.T) {
 	grid := equivGrid()
 	cacheDir := t.TempDir()
@@ -136,7 +138,7 @@ func TestMergeCellsRealGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := ctx.SweepShard(grid, 1, 0)
+	cells, err := ctx.SweepCells(grid, grid.CellIndices())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,26 +1,31 @@
-// Package distsweep shards the evaluation sweep across processes.
+// Package distsweep folds evaluated sweep cells back into one sweep
+// result.
 //
 // A sweep grid flattens into a canonical cell list
-// (experiments.SweepGrid.Cells); worker processes each evaluate one
-// round-robin partition of it (experiments.Context.SweepShard) and
-// write their cells into a versioned JSON Envelope. A coordinator reads
-// the envelopes, checks that they form exactly one complete, coherent
-// shard set — same format version, same grid fingerprint, same shard
-// count, every shard present exactly once, every cell covered exactly
-// once — and merges them into the rows, eval counts and per-deployment
+// (experiments.SweepGrid.Cells). Pull workers of the work-stealing
+// dispatcher (internal/dispatch) evaluate leased cells and stream each
+// back in a versioned CellEnvelope; the coordinator checks that the
+// envelopes form exactly one complete, coherent cell set — same format
+// version, same grid fingerprint, every cell covered exactly once — and
+// MergeCells folds them into the rows, eval counts and per-deployment
 // Pareto frontiers a single-process Sweep produces, bit-identically.
+// The single-process sweep routes its cells through the same fold as
+// one whole-grid Envelope (Merge), so the two artifacts are
+// byte-identical by construction.
 //
 // The rows come back by concatenating cells in grid order. The
 // frontiers come back by folding every cell's per-policy-group frontier
 // into one core.Frontier per (model, cluster, GPUs, policy group) —
 // the cross-task latency→throughput envelope of that deployment —
 // which is well-defined because Frontier.Merge is order-independent.
+//
+// This package also forks and tracks the worker processes of a local
+// or ssh-launched fleet (Fleet).
 package distsweep
 
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 
 	"exegpt/internal/atomicfile"
@@ -28,30 +33,31 @@ import (
 	"exegpt/internal/experiments"
 )
 
-// EnvelopeVersion is the shard envelope format version. The coordinator
-// refuses envelopes written by a different version rather than guessing
-// at field semantics.
+// EnvelopeVersion is the envelope format version, shared by Envelope
+// and CellEnvelope. Merges refuse envelopes stamped with a different
+// version rather than guessing at field semantics.
 const EnvelopeVersion = 1
 
-// Envelope is the versioned result one sweep worker process writes: the
-// cells of one shard, stamped with enough metadata for the coordinator
-// to reject mismatched or incomplete shard sets.
+// Envelope is a versioned set of evaluated cells: one partition of the
+// grid, stamped with enough metadata for Merge to reject mismatched or
+// incomplete partition sets. The single-process sweep passes its whole
+// grid as the one partition (Shards 1, Shard 0).
 type Envelope struct {
 	Version int `json:"version"`
-	// Fingerprint identifies the (grid, context) the shard was cut
+	// Fingerprint identifies the (grid, context) the cells were cut
 	// from (experiments.Context.GridFingerprint). Envelopes only merge
 	// with envelopes carrying the same fingerprint.
 	Fingerprint string `json:"fingerprint"`
-	// Shards is the total shard count of the partition; Shard is this
-	// worker's index in 0..Shards-1. Cell i belongs to shard i%Shards.
+	// Shards is the total partition count; Shard is this partition's
+	// index in 0..Shards-1. Cell i belongs to partition i%Shards.
 	Shards int `json:"shards"`
 	Shard  int `json:"shard"`
-	// Cells are the shard's evaluated cells in grid order. Empty when
-	// the grid has fewer cells than shards.
+	// Cells are the partition's evaluated cells in grid order. Empty
+	// when the grid has fewer cells than partitions.
 	Cells []experiments.CellResult `json:"cells"`
 }
 
-// NewEnvelope stamps a shard's cell results for the coordinator.
+// NewEnvelope stamps one partition's cell results for Merge.
 func NewEnvelope(fingerprint string, shards, shard int, cells []experiments.CellResult) *Envelope {
 	return &Envelope{
 		Version: EnvelopeVersion, Fingerprint: fingerprint,
@@ -89,53 +95,6 @@ func (e *Envelope) validate() error {
 	return nil
 }
 
-// Encode renders the envelope as indented JSON with a trailing newline.
-func (e *Envelope) Encode() ([]byte, error) {
-	data, err := json.MarshalIndent(e, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// Decode parses and validates an envelope. Truncated or otherwise
-// corrupt JSON, an unknown format version, and internally inconsistent
-// shard metadata all fail with a descriptive error.
-func Decode(data []byte) (*Envelope, error) {
-	var e Envelope
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("distsweep: corrupt shard envelope: %w", err)
-	}
-	if err := e.validate(); err != nil {
-		return nil, err
-	}
-	return &e, nil
-}
-
-// ReadFile loads one shard envelope from disk.
-func ReadFile(path string) (*Envelope, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("distsweep: read shard: %w", err)
-	}
-	e, err := Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return e, nil
-}
-
-// WriteFile atomically writes the envelope to path (temp file + rename
-// via atomicfile, so a concurrently started coordinator never observes
-// a torn shard).
-func (e *Envelope) WriteFile(path string) error {
-	data, err := e.Encode()
-	if err != nil {
-		return err
-	}
-	return atomicfile.Write(path, data, 0o644)
-}
-
 // DeploymentFrontier is the merged cross-task Pareto frontier of one
 // (deployment, policy group): every feasible (latency, throughput)
 // point any task's schedule search discovered on that hardware with
@@ -151,9 +110,9 @@ type DeploymentFrontier struct {
 // Merged is the coordinator's output: exactly what a single-process
 // sweep over the same grid produces. Rows are in grid order; Evals is
 // the total schedule-search evaluation count; Frontiers are sorted by
-// (model, cluster, GPUs, group). It deliberately omits the shard count,
-// so the merged artifact of an N-shard run is byte-identical to a
-// single-process run's.
+// (model, cluster, GPUs, group). It deliberately omits how the cells
+// were distributed, so a dispatched run's merged artifact is
+// byte-identical to a single-process run's.
 type Merged struct {
 	Fingerprint string                 `json:"fingerprint"`
 	Cells       int                    `json:"cells"`
@@ -182,7 +141,7 @@ func (m *Merged) WriteFile(path string) error {
 	return atomicfile.Write(path, data, 0o644)
 }
 
-// Merge folds a complete shard set into one sweep result. It fails —
+// Merge folds a complete partition set into one sweep result. It fails —
 // rather than silently merging — when the envelopes disagree on format
 // version, fingerprint or shard count, when a shard index is duplicated
 // or missing, or when the union of cells is not exactly the contiguous
@@ -230,9 +189,9 @@ func Merge(envs []*Envelope) (*Merged, error) {
 }
 
 // foldCells reduces a complete cell set into the Merged output — the
-// shared core of the whole-shard and cell-granular merge paths, so both
-// produce byte-identical artifacts. The cells may arrive in any order
-// but must cover the grid 0..len-1 exactly once.
+// shared core of the whole-partition and cell-granular merge paths, so
+// both produce byte-identical artifacts. The cells may arrive in any
+// order but must cover the grid 0..len-1 exactly once.
 func foldCells(fingerprint string, cells []experiments.CellResult) (*Merged, error) {
 	sort.Slice(cells, func(i, j int) bool { return cells[i].Cell < cells[j].Cell })
 	for i, c := range cells {
@@ -287,17 +246,4 @@ func foldCells(fingerprint string, cells []experiments.CellResult) (*Merged, err
 		})
 	}
 	return m, nil
-}
-
-// MergeFiles reads every path as a shard envelope and merges the set.
-func MergeFiles(paths []string) (*Merged, error) {
-	envs := make([]*Envelope, 0, len(paths))
-	for _, p := range paths {
-		e, err := ReadFile(p)
-		if err != nil {
-			return nil, err
-		}
-		envs = append(envs, e)
-	}
-	return Merge(envs)
 }

@@ -2,8 +2,6 @@ package distsweep
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -43,58 +41,26 @@ func fakeShardSet(fp string, shards, nCells int) []*Envelope {
 	return envs
 }
 
-func TestEnvelopeRoundTrip(t *testing.T) {
-	env := NewEnvelope("fp", 3, 1, []experiments.CellResult{fakeCell(1), fakeCell(4)})
-	data, err := env.Encode()
-	if err != nil {
-		t.Fatal(err)
+// TestMergeRejectsBadMetadata: Merge validates every envelope's own
+// metadata before folding anything.
+func TestMergeRejectsBadMetadata(t *testing.T) {
+	cases := map[string]struct {
+		env  *Envelope
+		want string
+	}{
+		"wrong version":   {&Envelope{Version: EnvelopeVersion + 1, Fingerprint: "fp", Shards: 1, Shard: 0}, "version"},
+		"no fingerprint":  {&Envelope{Version: EnvelopeVersion, Shards: 1, Shard: 0}, "missing grid fingerprint"},
+		"zero shards":     {&Envelope{Version: EnvelopeVersion, Fingerprint: "fp", Shards: 0, Shard: 0}, "shard count 0"},
+		"index too large": {&Envelope{Version: EnvelopeVersion, Fingerprint: "fp", Shards: 2, Shard: 2}, "out of range"},
+		"negative index":  {&Envelope{Version: EnvelopeVersion, Fingerprint: "fp", Shards: 2, Shard: -1}, "out of range"},
+		"foreign cell": {&Envelope{Version: EnvelopeVersion, Fingerprint: "fp", Shards: 2, Shard: 0,
+			Cells: []experiments.CellResult{fakeCell(1)}}, "does not belong"},
+		"duplicate cell": {&Envelope{Version: EnvelopeVersion, Fingerprint: "fp", Shards: 2, Shard: 0,
+			Cells: []experiments.CellResult{fakeCell(0), fakeCell(0)}}, "duplicate cell"},
 	}
-	back, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(env, back) {
-		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", back, env)
-	}
-	// The +Inf bound must survive bit-exactly.
-	if !math.IsInf(back.Cells[0].Rows[0].Bound, 1) {
-		t.Fatalf("infinite bound lost: %v", back.Cells[0].Rows[0].Bound)
-	}
-}
-
-func TestDecodeRejectsTruncatedJSON(t *testing.T) {
-	data, err := NewEnvelope("fp", 2, 0, []experiments.CellResult{fakeCell(0)}).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cut := range []int{0, 1, len(data) / 2, len(data) - 2} {
-		if _, err := Decode(data[:cut]); err == nil {
-			t.Fatalf("truncation at %d silently decoded", cut)
-		} else if !strings.Contains(err.Error(), "corrupt") {
-			t.Fatalf("truncation at %d: error %q does not say corrupt", cut, err)
-		}
-	}
-}
-
-func TestDecodeRejectsBadMetadata(t *testing.T) {
-	cases := map[string]*Envelope{
-		"wrong version":   {Version: EnvelopeVersion + 1, Fingerprint: "fp", Shards: 1, Shard: 0},
-		"no fingerprint":  {Version: EnvelopeVersion, Shards: 1, Shard: 0},
-		"zero shards":     {Version: EnvelopeVersion, Fingerprint: "fp", Shards: 0, Shard: 0},
-		"index too large": {Version: EnvelopeVersion, Fingerprint: "fp", Shards: 2, Shard: 2},
-		"negative index":  {Version: EnvelopeVersion, Fingerprint: "fp", Shards: 2, Shard: -1},
-		"foreign cell": {Version: EnvelopeVersion, Fingerprint: "fp", Shards: 2, Shard: 0,
-			Cells: []experiments.CellResult{fakeCell(1)}},
-		"duplicate cell": {Version: EnvelopeVersion, Fingerprint: "fp", Shards: 2, Shard: 0,
-			Cells: []experiments.CellResult{fakeCell(0), fakeCell(0)}},
-	}
-	for name, env := range cases {
-		data, err := env.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Decode(data); err == nil {
-			t.Errorf("%s: decoded without error", name)
+	for name, c := range cases {
+		if _, err := Merge([]*Envelope{c.env}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want error containing %q", name, err, c.want)
 		}
 	}
 }
@@ -172,45 +138,6 @@ func TestMergeRejectsCellGap(t *testing.T) {
 	b := NewEnvelope("fp", 2, 1, []experiments.CellResult{fakeCell(3)})
 	if _, err := Merge([]*Envelope{a, b}); err == nil || !strings.Contains(err.Error(), "coverage") {
 		t.Fatalf("cell gap not rejected: %v", err)
-	}
-}
-
-func TestMergeFiles(t *testing.T) {
-	dir := t.TempDir()
-	envs := fakeShardSet("fp", 2, 5)
-	var paths []string
-	for i, e := range envs {
-		p := filepath.Join(dir, "shard_"+string(rune('0'+i))+".json")
-		if err := e.WriteFile(p); err != nil {
-			t.Fatal(err)
-		}
-		paths = append(paths, p)
-	}
-	want, err := Merge(envs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := MergeFiles(paths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("MergeFiles diverged from in-memory Merge")
-	}
-	// A missing file fails with the path in the error.
-	if _, err := MergeFiles(append(paths, filepath.Join(dir, "nope.json"))); err == nil {
-		t.Fatal("missing file not rejected")
-	}
-	// A truncated file fails with the path in the error.
-	data, err := os.ReadFile(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(paths[0], data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MergeFiles(paths); err == nil || !strings.Contains(err.Error(), paths[0]) {
-		t.Fatalf("truncated file error should name the file: %v", err)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 	"exegpt/internal/workload"
 )
 
-// equivGrid is a small real grid: 3 cells, so shard counts 2 and 3
-// interleave cells across shards and shard count 7 leaves shards empty.
+// equivGrid is a small real grid: 3 cells, so split counts 2 and 3
+// interleave cells across parts and split count 7 leaves parts empty.
 func equivGrid() experiments.SweepGrid {
 	return experiments.SweepGrid{
 		Deployments: []sched.Deployment{
@@ -33,153 +33,162 @@ func shardCtx(cacheDir string) *experiments.Context {
 	return c
 }
 
-// runShardSet evaluates every shard of the grid with an independent
-// context (one per "process") and round-trips each result through the
-// JSON envelope, exactly as the multi-process pipeline does.
-func runShardSet(t *testing.T, grid experiments.SweepGrid, cacheDir string, shards int) []*Envelope {
+// splitCells partitions the grid's cell indices round-robin into parts
+// index lists; parts beyond the cell count stay empty.
+func splitCells(grid experiments.SweepGrid, parts int) [][]int {
+	split := make([][]int, parts)
+	for _, i := range grid.CellIndices() {
+		split[i%parts] = append(split[i%parts], i)
+	}
+	return split
+}
+
+// cellEnvelopes wraps evaluated cells the way a pull worker ships them
+// and round-trips each through its JSON encoding.
+func cellEnvelopes(t *testing.T, fp string, total int, cells []experiments.CellResult) []*CellEnvelope {
 	t.Helper()
-	envs := make([]*Envelope, shards)
-	for s := 0; s < shards; s++ {
-		ctx := shardCtx(cacheDir)
-		fp, err := ctx.GridFingerprint(grid)
+	envs := make([]*CellEnvelope, len(cells))
+	for i, cr := range cells {
+		data, err := NewCellEnvelope(fp, total, cr).Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		cells, err := ctx.SweepShard(grid, shards, s)
-		if err != nil {
+		if envs[i], err = DecodeCell(data); err != nil {
 			t.Fatal(err)
 		}
-		data, err := NewEnvelope(fp, shards, s, cells).Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		env, err := Decode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		envs[s] = env
 	}
 	return envs
 }
 
-// TestShardedSweepEquivalence: for shard counts 1, 2, 3 and 7 (3 cells,
-// so nothing divides evenly and 7 leaves four shards empty), the merged
-// shard set is bit-identical to a single-process Sweep — row order,
-// per-cell Evals and frontiers included — down to the serialized bytes.
+// singleMerged is the single-process reference: the whole grid through
+// SweepCells and the one-partition Merge the CLI uses.
+func singleMerged(t *testing.T, ctx *experiments.Context, grid experiments.SweepGrid) ([]experiments.CellResult, *Merged) {
+	t.Helper()
+	fp, err := ctx.GridFingerprint(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := ctx.SweepCells(grid, grid.CellIndices())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Merge([]*Envelope{NewEnvelope(fp, 1, 0, cells)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cells, m
+}
+
+// TestShardedSweepEquivalence: for split counts 1, 2, 3 and 7 (3 cells,
+// so nothing divides evenly and 7 leaves four parts empty), evaluating
+// each part of the cell list with its own context and folding the
+// per-cell envelopes through MergeCells is bit-identical to a
+// single-process sweep — row order, per-cell Evals and frontiers
+// included — down to the serialized bytes.
 func TestShardedSweepEquivalence(t *testing.T) {
 	grid := equivGrid()
 	cacheDir := t.TempDir()
+	total := len(grid.Cells())
 
-	single := shardCtx(cacheDir)
-	fp, err := single.GridFingerprint(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	singleCells, err := single.SweepShard(grid, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Merge([]*Envelope{NewEnvelope(fp, 1, 0, singleCells)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	singleCells, want := singleMerged(t, shardCtx(cacheDir), grid)
 	wantBytes, err := want.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// The legacy entry point must agree with the cell list it now wraps.
-	legacyRows, err := shardCtx(cacheDir).Sweep(grid)
+	// Sweep must agree with the cell list it wraps.
+	rows, err := shardCtx(cacheDir).Sweep(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(legacyRows, want.Rows) {
-		t.Fatal("Sweep rows diverge from merged SweepShard rows")
+	if !reflect.DeepEqual(rows, want.Rows) {
+		t.Fatal("Sweep rows diverge from merged SweepCells rows")
 	}
 	if len(want.Rows) == 0 || want.Evals == 0 || len(want.Frontiers) == 0 {
 		t.Fatalf("degenerate single-process result: %d rows, %d evals, %d frontiers",
 			len(want.Rows), want.Evals, len(want.Frontiers))
 	}
 
-	for _, shards := range []int{1, 2, 3, 7} {
-		envs := runShardSet(t, grid, cacheDir, shards)
-		got, err := Merge(envs)
+	for _, parts := range []int{1, 2, 3, 7} {
+		var envs []*CellEnvelope
+		for _, part := range splitCells(grid, parts) {
+			ctx := shardCtx(cacheDir)
+			cells, err := ctx.SweepCells(grid, part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			envs = append(envs, cellEnvelopes(t, want.Fingerprint, total, cells)...)
+		}
+		got, err := MergeCells(envs)
 		if err != nil {
-			t.Fatalf("%d shards: %v", shards, err)
+			t.Fatalf("%d parts: %v", parts, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%d shards: merged result diverges from single-process sweep", shards)
+			t.Fatalf("%d parts: merged result diverges from single-process sweep", parts)
 		}
 		gotBytes, err := got.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(gotBytes, wantBytes) {
-			t.Fatalf("%d shards: merged JSON not byte-identical to single-process JSON", shards)
+			t.Fatalf("%d parts: merged JSON not byte-identical to single-process JSON", parts)
 		}
 		// Cell-level equivalence, not just the merged aggregate: the
-		// union of shard cells is exactly the single-process cell list.
+		// union of part cells is exactly the single-process cell list.
 		var cells []experiments.CellResult
 		for _, e := range envs {
-			cells = append(cells, e.Cells...)
+			cells = append(cells, e.Result)
 		}
 		sort.Slice(cells, func(i, j int) bool { return cells[i].Cell < cells[j].Cell })
 		if !reflect.DeepEqual(cells, singleCells) {
-			t.Fatalf("%d shards: per-cell results diverge from single process", shards)
+			t.Fatalf("%d parts: per-cell results diverge from single process", parts)
 		}
 	}
 }
 
-// TestShardWorkersShareProfileCacheConcurrently: concurrent shard
-// evaluations with independent contexts and one shared ProfileCacheDir
-// — the in-process analog of two worker processes on one box — must be
+// TestShardWorkersShareProfileCacheConcurrently: concurrent SweepCells
+// calls with independent contexts and one shared ProfileCacheDir — the
+// in-process analog of two worker processes on one box — must be
 // race-free (run under -race) and still merge bit-identically.
 func TestShardWorkersShareProfileCacheConcurrently(t *testing.T) {
 	grid := equivGrid()
 	sharedDir := t.TempDir()
-	const shards = 2
+	total := len(grid.Cells())
+	parts := splitCells(grid, 2)
 
 	fp, err := shardCtx(sharedDir).GridFingerprint(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	envs := make([]*Envelope, shards)
-	errs := make([]error, shards)
+	results := make([][]experiments.CellResult, len(parts))
+	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
+	for p := range parts {
 		wg.Add(1)
-		go func(s int) {
+		go func(p int) {
 			defer wg.Done()
-			cells, err := shardCtx(sharedDir).SweepShard(grid, shards, s)
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			envs[s] = NewEnvelope(fp, shards, s, cells)
-		}(s)
+			results[p], errs[p] = shardCtx(sharedDir).SweepCells(grid, parts[p])
+		}(p)
 	}
 	wg.Wait()
-	for s, err := range errs {
+	var envs []*CellEnvelope
+	for p, err := range errs {
 		if err != nil {
-			t.Fatalf("shard %d: %v", s, err)
+			t.Fatalf("part %d: %v", p, err)
+		}
+		for _, cr := range results[p] {
+			envs = append(envs, NewCellEnvelope(fp, total, cr))
 		}
 	}
-	got, err := Merge(envs)
+	got, err := MergeCells(envs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Reference result from a separate cache to prove the shared,
 	// possibly racy-written cache changed nothing.
-	refCells, err := shardCtx(t.TempDir()).SweepShard(grid, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Merge([]*Envelope{NewEnvelope(fp, 1, 0, refCells)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, want := singleMerged(t, shardCtx(t.TempDir()), grid)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("concurrent shared-cache shards diverge from the reference sweep")
+		t.Fatal("concurrent shared-cache workers diverge from the reference sweep")
 	}
 }

@@ -1,11 +1,8 @@
-// Local process spawning: the -spawn convenience mode of `exegpt
-// sweep`, which forks one worker process per shard on this machine so a
-// sharded sweep runs end to end on one box, and the generalized Fleet /
-// SpawnArgs used by the dispatch CLI to fork or ssh-launch pull
-// workers. Fleet keeps each worker's stderr tail readable *while the
-// fleet runs*, so the dispatch coordinator can attach a dying worker's
-// last words to its lease-failure exclusion events instead of only
-// surfacing them after the whole fleet exits.
+// Worker process fleets: Fleet forks or ssh-launches the pull workers
+// of a dispatched sweep. It keeps each worker's stderr tail readable
+// *while the fleet runs*, so the dispatch coordinator can attach a
+// dying worker's last words to its lease-failure exclusion events
+// instead of only surfacing them after the whole fleet exits.
 package distsweep
 
 import (
@@ -14,7 +11,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strconv"
 	"sync"
 )
@@ -46,31 +42,6 @@ func (w *tailWriter) String() string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return string(w.buf)
-}
-
-// SpawnLocal forks one worker process per shard — `bin baseArgs...
-// -shards N -shard-index i -out outDir/shard_i.json` — waits for all of
-// them, and returns the shard envelope paths in index order.
-func SpawnLocal(bin string, baseArgs []string, shards int, outDir string) ([]string, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("distsweep: shard count %d < 1", shards)
-	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return nil, err
-	}
-	paths := make([]string, shards)
-	argvs := make([][]string, shards)
-	for i := 0; i < shards; i++ {
-		paths[i] = filepath.Join(outDir, fmt.Sprintf("shard_%d.json", i))
-		argvs[i] = append(append([]string(nil), baseArgs...),
-			"-shards", strconv.Itoa(shards),
-			"-shard-index", strconv.Itoa(i),
-			"-out", paths[i])
-	}
-	if err := SpawnArgs(bin, argvs); err != nil {
-		return nil, err
-	}
-	return paths, nil
 }
 
 // proc is one started worker process. A reaper goroutine records its
@@ -239,14 +210,4 @@ func (f *Fleet) Wait() error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// SpawnArgs forks one `bin argv...` process per argument vector and
-// waits for all of them.
-func SpawnArgs(bin string, argvs [][]string) error {
-	f, err := StartFleet(bin, argvs, nil)
-	if err != nil {
-		return err
-	}
-	return f.Wait()
 }

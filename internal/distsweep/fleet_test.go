@@ -6,51 +6,6 @@ import (
 	"time"
 )
 
-// TestSpawnArgsPropagatesStderrTail: a failing worker's error must
-// carry the tail of what it wrote to stderr, so multi-process sweep
-// failures are diagnosable from the coordinator's error alone.
-func TestSpawnArgsPropagatesStderrTail(t *testing.T) {
-	err := SpawnArgs("/bin/sh", [][]string{
-		{"-c", "exit 0"},
-		{"-c", "echo worker-one-exploded >&2; exit 3"},
-	})
-	if err == nil {
-		t.Fatal("failing worker reported no error")
-	}
-	if !strings.Contains(err.Error(), "worker 1") {
-		t.Errorf("error does not name the failing worker: %v", err)
-	}
-	if !strings.Contains(err.Error(), "worker-one-exploded") {
-		t.Errorf("error does not carry the worker's stderr tail: %v", err)
-	}
-}
-
-// TestSpawnArgsAllWaited: every worker is waited for even when an
-// earlier one fails, and each failure appears in the joined error.
-func TestSpawnArgsAllWaited(t *testing.T) {
-	err := SpawnArgs("/bin/sh", [][]string{
-		{"-c", "echo first-bad >&2; exit 1"},
-		{"-c", "echo second-bad >&2; exit 2"},
-	})
-	if err == nil {
-		t.Fatal("no error for two failing workers")
-	}
-	for _, want := range []string{"first-bad", "second-bad"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("joined error missing %q: %v", want, err)
-		}
-	}
-}
-
-// TestSpawnArgsStartFailure: a binary that cannot be started fails
-// cleanly (the kill-already-started path runs with zero survivors when
-// the first start fails).
-func TestSpawnArgsStartFailure(t *testing.T) {
-	if err := SpawnArgs("/nonexistent/exegpt-binary", [][]string{{"x"}}); err == nil {
-		t.Fatal("starting a nonexistent binary succeeded")
-	}
-}
-
 func TestTailWriterKeepsTail(t *testing.T) {
 	w := &tailWriter{limit: 8}
 	w.Write([]byte("0123456789abcdef"))
@@ -103,7 +58,10 @@ func TestFleetLiveStderrTails(t *testing.T) {
 // members observed as crashed, names never reused.
 func TestFleetDynamicMembership(t *testing.T) {
 	fleet := NewFleet("/bin/sh")
-	if err := fleet.Start("s0r0", []string{"-c", "sleep 5"}); err != nil {
+	// exec: the sleeping process is the fleet's direct child, as a real
+	// worker is, so Kill ends it rather than leaving an orphaned sleep
+	// holding the stderr pipe (and Exited false) for its full 5 s.
+	if err := fleet.Start("s0r0", []string{"-c", "exec sleep 5"}); err != nil {
 		t.Fatal(err)
 	}
 	if exited, _ := fleet.Exited("s0r0"); exited {
@@ -154,12 +112,71 @@ func TestFleetDynamicMembership(t *testing.T) {
 	}
 }
 
-// TestFleetNamesInErrors: Wait's joined error names workers by their
-// given fleet names, not bare indices.
+// TestSpawnArgsPropagatesStderrTail: a failing fleet worker's error
+// must carry the tail of what it wrote to stderr, so multi-process
+// sweep failures are diagnosable from the coordinator's error alone.
+func TestSpawnArgsPropagatesStderrTail(t *testing.T) {
+	fleet, err := StartFleet("/bin/sh", [][]string{
+		{"-c", "exit 0"},
+		{"-c", "echo worker-one-exploded >&2; exit 3"},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	werr := fleet.Wait()
+	if werr == nil {
+		t.Fatal("failing worker reported no error")
+	}
+	if !strings.Contains(werr.Error(), "worker 1") {
+		t.Errorf("error does not name the failing worker: %v", werr)
+	}
+	if !strings.Contains(werr.Error(), "worker-one-exploded") {
+		t.Errorf("error does not carry the worker's stderr tail: %v", werr)
+	}
+}
+
+// TestSpawnArgsAllWaited: Wait waits for every fleet worker even when
+// an earlier one fails, and each failure appears in the joined error.
+func TestSpawnArgsAllWaited(t *testing.T) {
+	fleet, err := StartFleet("/bin/sh", [][]string{
+		{"-c", "echo first-bad >&2; exit 1"},
+		{"-c", "sleep 0.2; echo second-bad >&2; exit 2"},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	werr := fleet.Wait()
+	if werr == nil {
+		t.Fatal("no error for two failing workers")
+	}
+	for _, want := range []string{"first-bad", "second-bad"} {
+		if !strings.Contains(werr.Error(), want) {
+			t.Errorf("joined error missing %q: %v", want, werr)
+		}
+	}
+	if live := fleet.Live(); len(live) != 0 {
+		t.Errorf("workers still live after Wait: %v", live)
+	}
+}
+
+// TestSpawnArgsStartFailure: a binary that cannot be started fails
+// StartFleet cleanly (the kill-already-started path runs with zero
+// survivors when the first start fails).
+func TestSpawnArgsStartFailure(t *testing.T) {
+	if _, err := StartFleet("/nonexistent/exegpt-binary", [][]string{{"x"}}, nil); err == nil {
+		t.Fatal("starting a nonexistent binary succeeded")
+	}
+}
+
+// TestFleetNamesInErrors: Wait's joined error names each failed worker
+// by its fleet name, or by index past a short names slice, and leaves
+// out workers that exited cleanly.
 func TestFleetNamesInErrors(t *testing.T) {
 	fleet, err := StartFleet("/bin/sh", [][]string{
 		{"-c", "echo gpu-host-died >&2; exit 7"},
-	}, []string{"host0-gpu1"})
+		{"-c", "exit 0"},
+		{"-c", "echo second-bad >&2; exit 2"},
+	}, []string{"host0-gpu1", "clean"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +184,12 @@ func TestFleetNamesInErrors(t *testing.T) {
 	if werr == nil {
 		t.Fatal("failing fleet reported no error")
 	}
-	for _, want := range []string{"host0-gpu1", "gpu-host-died"} {
+	for _, want := range []string{"worker host0-gpu1", "gpu-host-died", "worker 2", "second-bad"} {
 		if !strings.Contains(werr.Error(), want) {
 			t.Errorf("fleet error missing %q: %v", want, werr)
 		}
+	}
+	if strings.Contains(werr.Error(), "worker clean") {
+		t.Errorf("clean worker reported as failed: %v", werr)
 	}
 }

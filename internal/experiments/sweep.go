@@ -6,11 +6,12 @@
 // immutable once built. Results are reduced in grid order, so the
 // output is deterministic regardless of which worker finishes first.
 //
-// The same cell list is the unit of multi-process sharding: SweepShard
-// evaluates the cells whose index falls in one round-robin partition,
-// and internal/distsweep merges per-shard results back into exactly the
+// The same cell list is the unit of multi-process distribution:
+// SweepCells evaluates any subset of cell indices, the work-stealing
+// dispatcher (internal/dispatch) leases cells to worker processes, and
+// internal/distsweep folds the per-cell results back into exactly the
 // rows a single-process Sweep produces (GridFingerprint guards against
-// mixing shards from different grids or contexts).
+// mixing cells from different grids or contexts).
 package experiments
 
 import (
@@ -56,7 +57,7 @@ type SweepGrid struct {
 }
 
 // resolved returns the grid with every defaulted field filled in, so
-// that enumeration, sharding and fingerprinting all see the same grid
+// that enumeration, distribution and fingerprinting all see the same grid
 // whether it was spelled out or left to the defaults.
 func (g SweepGrid) resolved() ([]sched.Deployment, []workload.Task, [][]sched.Policy) {
 	deps := g.Deployments
@@ -75,8 +76,8 @@ func (g SweepGrid) resolved() ([]sched.Deployment, []workload.Task, [][]sched.Po
 }
 
 // SweepCell is one enumerable (deployment, task) cell of a grid. Index
-// is the cell's position in canonical (deployment, task) order; shard
-// partitioning and result merging are both keyed on it.
+// is the cell's position in canonical (deployment, task) order; cell
+// leasing and result merging are both keyed on it.
 type SweepCell struct {
 	Index int
 	Dep   sched.Deployment
@@ -98,7 +99,7 @@ func (g SweepGrid) Cells() []SweepCell {
 // GroupFrontier is the latency→throughput Pareto frontier one policy
 // group's schedule search discovered on one cell. Frontiers for the
 // same (deployment, group) merge order-independently across cells and
-// shards via core.Frontier.Merge.
+// worker processes via core.Frontier.Merge.
 type GroupFrontier struct {
 	Model    string        `json:"model"`
 	Cluster  string        `json:"cluster"`
@@ -110,7 +111,7 @@ type GroupFrontier struct {
 
 // CellResult is everything one evaluated cell contributes to a sweep:
 // its rows in bound-major order, the schedule-search evaluation count
-// (the §7.7 cost metric — deterministic, so shard merges can be checked
+// (the §7.7 cost metric — deterministic, so distributed merges can be checked
 // bit-identical against a single-process run), and the per-group
 // frontiers.
 type CellResult struct {
@@ -123,7 +124,7 @@ type CellResult struct {
 // GridFingerprint hashes everything that determines a sweep's output:
 // the resolved grid (deployments, tasks, policy groups) and the
 // context's sampling/search settings. Two runs agree on the fingerprint
-// iff their shard results can be merged into one coherent sweep.
+// iff their cell results can be merged into one coherent sweep.
 // Worker counts and cache paths are deliberately excluded: they change
 // only wall time, never results.
 func (c *Context) GridFingerprint(grid SweepGrid) (string, error) {
@@ -183,12 +184,22 @@ func defaultPolicyGroups() [][]sched.Policy {
 	}
 }
 
+// CellIndices lists every cell index of the grid, 0..len(Cells())-1:
+// the SweepCells argument for a whole-grid sweep.
+func (g SweepGrid) CellIndices() []int {
+	indices := make([]int, len(g.Cells()))
+	for i := range indices {
+		indices[i] = i
+	}
+	return indices
+}
+
 // Sweep evaluates FT plus every requested ExeGPT policy group on every
 // (deployment, task) cell under the FT-derived latency bounds. It is
-// the single-shard case of SweepShard with the per-cell metadata
-// flattened away.
+// SweepCells over the whole grid with the per-cell metadata flattened
+// away.
 func (c *Context) Sweep(grid SweepGrid) ([]SweepRow, error) {
-	cells, err := c.SweepShard(grid, 1, 0)
+	cells, err := c.SweepCells(grid, grid.CellIndices())
 	if err != nil {
 		return nil, err
 	}
@@ -197,29 +208,6 @@ func (c *Context) Sweep(grid SweepGrid) ([]SweepRow, error) {
 		rows = append(rows, cr.Rows...)
 	}
 	return rows, nil
-}
-
-// SweepShard evaluates the shard'th of shards round-robin partitions of
-// the grid's cell list: cell i belongs to shard i%shards. Shards are
-// disjoint and cover the grid, so concatenating the CellResults of all
-// shards in cell order reproduces a single-process Sweep exactly —
-// rows, Evals and frontiers included (every cell is evaluated
-// independently and all search results are deterministic across worker
-// counts).
-func (c *Context) SweepShard(grid SweepGrid, shards, shard int) ([]CellResult, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("experiments: shard count %d < 1", shards)
-	}
-	if shard < 0 || shard >= shards {
-		return nil, fmt.Errorf("experiments: shard index %d out of range 0..%d", shard, shards-1)
-	}
-	var indices []int
-	for i := range grid.Cells() {
-		if i%shards == shard {
-			indices = append(indices, i)
-		}
-	}
-	return c.SweepCells(grid, indices)
 }
 
 // SweepCells evaluates an explicit set of grid cells, named by their
@@ -305,7 +293,7 @@ func (c *Context) sweepCell(cl SweepCell, groups [][]sched.Policy, schedWorkers 
 	// Schedule each policy group across every bound in one amortized
 	// multi-bound search before assembling rows in per-bound order.
 	// Each search leaves its eval count and merged Pareto frontier on
-	// the scheduler; the cell carries both so shard merges can be
+	// the scheduler; the cell carries both so distributed merges can be
 	// verified against (and aggregated like) a single-process run.
 	outsByGroup := make([][]RunOutcome, len(groups))
 	for gi, group := range groups {
@@ -348,7 +336,7 @@ func (c *Context) sweepCell(cl SweepCell, groups [][]sched.Policy, schedWorkers 
 // sweepRowWire mirrors SweepRow on the wire with the latency bound
 // carried as a string: JSON has no ±Inf, and the relaxed bound is
 // math.Inf(1). strconv's shortest 'g' format round-trips every float64
-// bit-exactly, which the shard-equivalence guarantee relies on.
+// bit-exactly, which the distributed-equivalence guarantee relies on.
 type sweepRowWire struct {
 	Model    string  `json:"model"`
 	Cluster  string  `json:"cluster"`
