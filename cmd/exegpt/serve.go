@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 
 	"exegpt/internal/atomicfile"
 	"exegpt/internal/model"
@@ -34,6 +35,9 @@ func cmdServe(args []string) error {
 	stepFactor := fs.Float64("step-factor", 0, "step arrivals: rate multiplier after the step")
 	jsonOut := fs.String("json", "", "also write the JSON report artifact to this file")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkServeFlags(*rate, *duration, *slo, *window, *switchCost, *driftTol, *checkEvery); err != nil {
 		return err
 	}
 
@@ -99,6 +103,35 @@ func cmdServe(args []string) error {
 			return err
 		}
 		fmt.Printf("report written to %s\n", *jsonOut)
+	}
+	return nil
+}
+
+// checkServeFlags rejects values that serve.Options would otherwise
+// misread (NaN, ±Inf, a negative rate, duration or SLO) or silently
+// replace with its defaults (a non-positive window, switch cost, drift
+// tolerance or controller period).
+func checkServeFlags(rate, duration, slo, window, switchCost, driftTol float64, checkEvery int) error {
+	for _, f := range []struct {
+		name   string
+		v      float64
+		zeroOK bool
+	}{
+		{"rate", rate, true},
+		{"duration", duration, true},
+		{"slo", slo, true},
+		{"window", window, false},
+		{"switch-cost", switchCost, false},
+		{"drift-tol", driftTol, false},
+		{"check-every", float64(checkEvery), false},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 || (f.v == 0 && !f.zeroOK) {
+			want := "finite and >= 0"
+			if !f.zeroOK {
+				want = "finite and > 0"
+			}
+			return fmt.Errorf("serve: -%s must be %s, got %v", f.name, want, f.v)
+		}
 	}
 	return nil
 }

@@ -3,6 +3,9 @@ package dispatch
 import (
 	"bytes"
 	"errors"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"exegpt/internal/distsweep"
@@ -33,6 +36,36 @@ func TestWireMsgRoundTrip(t *testing.T) {
 	}
 	if out.Result == nil || out.Result.Result.Cell != 2 || out.Result.Fingerprint != "fp-wire" {
 		t.Fatalf("round trip mangled the result envelope: %+v", out.Result)
+	}
+}
+
+// TestWireCellEnvelopeRoundTrip: a result frame carries its cell
+// envelope through the codec intact, the relaxed +Inf bound bit-exactly,
+// and a truncated frame is reported as corrupt instead of decoding.
+func TestWireCellEnvelopeRoundTrip(t *testing.T) {
+	cell := fakeCellResult(1)
+	cell.Rows[0].Bound = math.Inf(1)
+	env := distsweep.NewCellEnvelope("fp", 5, cell)
+	data, err := EncodeMsg(&Msg{Type: MsgResult, Worker: "w1", Seq: 1, Result: env})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := DecodeMsg(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out.Result, env) {
+		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", out.Result, env)
+	}
+	if !math.IsInf(out.Result.Result.Rows[0].Bound, 1) {
+		t.Fatalf("infinite bound lost: %v", out.Result.Result.Rows[0].Bound)
+	}
+	for _, cut := range []int{0, 1, len(data) / 2, len(data) - 2} {
+		if _, err := DecodeMsg(data[:cut]); err == nil {
+			t.Fatalf("truncation at %d silently decoded", cut)
+		} else if !strings.Contains(err.Error(), "corrupt") {
+			t.Fatalf("truncation at %d: error %q does not say corrupt", cut, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 // Cell-granular envelopes: the wire unit of the dynamic work-stealing
 // dispatcher (internal/dispatch). A pull worker streams one
-// CellEnvelope per evaluated cell, so the coordinator can account for —
+// CellEnvelope per evaluated cell inside a dispatch wire frame (whose
+// codec also catches truncation), so the coordinator can account for —
 // and re-lease — individual cells when a worker stalls or dies. The
 // fingerprint and coverage checks match Envelope's, and MergeCells
 // folds a complete cell set through the same core as Merge, so the
@@ -8,11 +9,8 @@
 package distsweep
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
-	"exegpt/internal/atomicfile"
 	"exegpt/internal/experiments"
 )
 
@@ -51,49 +49,6 @@ func (e *CellEnvelope) validate() error {
 		return fmt.Errorf("distsweep: cell index %d out of range 0..%d", e.Result.Cell, e.Total-1)
 	}
 	return nil
-}
-
-// Encode renders the envelope as indented JSON with a trailing newline.
-func (e *CellEnvelope) Encode() ([]byte, error) {
-	data, err := json.MarshalIndent(e, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// DecodeCell parses and validates a cell envelope.
-func DecodeCell(data []byte) (*CellEnvelope, error) {
-	var e CellEnvelope
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("distsweep: corrupt cell envelope: %w", err)
-	}
-	if err := e.validate(); err != nil {
-		return nil, err
-	}
-	return &e, nil
-}
-
-// ReadCellFile loads one cell envelope from disk.
-func ReadCellFile(path string) (*CellEnvelope, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("distsweep: read cell: %w", err)
-	}
-	e, err := DecodeCell(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return e, nil
-}
-
-// WriteFile atomically writes the envelope to path.
-func (e *CellEnvelope) WriteFile(path string) error {
-	data, err := e.Encode()
-	if err != nil {
-		return err
-	}
-	return atomicfile.Write(path, data, 0o644)
 }
 
 // MergeCells folds a complete cell-envelope set into one sweep result,

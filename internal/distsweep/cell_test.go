@@ -2,7 +2,6 @@ package distsweep
 
 import (
 	"bytes"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,32 +14,6 @@ func fakeCellSet(fp string, nCells int) []*CellEnvelope {
 		envs[i] = NewCellEnvelope(fp, nCells, fakeCell(i))
 	}
 	return envs
-}
-
-func TestCellEnvelopeRoundTrip(t *testing.T) {
-	env := NewCellEnvelope("fp", 5, fakeCell(1))
-	data, err := env.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeCell(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(env, back) {
-		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", back, env)
-	}
-	// The +Inf bound must survive bit-exactly.
-	if !math.IsInf(back.Result.Rows[0].Bound, 1) {
-		t.Fatalf("infinite bound lost: %v", back.Result.Rows[0].Bound)
-	}
-	for _, cut := range []int{0, 1, len(data) / 2, len(data) - 2} {
-		if _, err := DecodeCell(data[:cut]); err == nil {
-			t.Fatalf("truncation at %d silently decoded", cut)
-		} else if !strings.Contains(err.Error(), "corrupt") {
-			t.Fatalf("truncation at %d: error %q does not say corrupt", cut, err)
-		}
-	}
 }
 
 // TestMergeCellsMatchesMerge: folding per-cell envelopes produces the
@@ -108,61 +81,5 @@ func TestMergeCellsRejectsBrokenSets(t *testing.T) {
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", name, err, tc.want)
 		}
-	}
-}
-
-// TestCellFileRoundTrip exercises the atomic write + read path.
-func TestCellFileRoundTrip(t *testing.T) {
-	path := t.TempDir() + "/cell_0.json"
-	env := NewCellEnvelope("fp", 2, fakeCell(0))
-	if err := env.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCellFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(env, back) {
-		t.Fatal("file round trip diverged")
-	}
-}
-
-// TestMergeCellsRealGrid: evaluating a real grid cell-by-cell through
-// SweepCells and folding the per-cell envelopes reproduces the
-// single-process whole-grid path byte-identically.
-func TestMergeCellsRealGrid(t *testing.T) {
-	grid := equivGrid()
-	cacheDir := t.TempDir()
-	ctx := shardCtx(cacheDir)
-	fp, err := ctx.GridFingerprint(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, err := ctx.SweepCells(grid, grid.CellIndices())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Merge([]*Envelope{NewEnvelope(fp, 1, 0, cells)})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var envs []*CellEnvelope
-	total := len(grid.Cells())
-	for i := total - 1; i >= 0; i-- { // reverse order: arrival must not matter
-		crs, err := shardCtx(cacheDir).SweepCells(grid, []int{i})
-		if err != nil {
-			t.Fatal(err)
-		}
-		envs = append(envs, NewCellEnvelope(fp, total, crs[0]))
-	}
-	got, err := MergeCells(envs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBytes, _ := want.Encode()
-	gotBytes, _ := got.Encode()
-	if !bytes.Equal(wantBytes, gotBytes) {
-		t.Fatal("cell-by-cell evaluation not byte-identical to single-process sweep")
 	}
 }

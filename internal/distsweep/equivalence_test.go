@@ -1,4 +1,4 @@
-package distsweep
+package distsweep_test
 
 import (
 	"bytes"
@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"exegpt/internal/dispatch"
+	"exegpt/internal/distsweep"
 	"exegpt/internal/experiments"
 	"exegpt/internal/hw"
 	"exegpt/internal/model"
@@ -44,25 +46,29 @@ func splitCells(grid experiments.SweepGrid, parts int) [][]int {
 }
 
 // cellEnvelopes wraps evaluated cells the way a pull worker ships them
-// and round-trips each through its JSON encoding.
-func cellEnvelopes(t *testing.T, fp string, total int, cells []experiments.CellResult) []*CellEnvelope {
+// and round-trips each through the dispatch wire codec that carries
+// them to the coordinator.
+func cellEnvelopes(t *testing.T, fp string, total int, cells []experiments.CellResult) []*distsweep.CellEnvelope {
 	t.Helper()
-	envs := make([]*CellEnvelope, len(cells))
+	envs := make([]*distsweep.CellEnvelope, len(cells))
 	for i, cr := range cells {
-		data, err := NewCellEnvelope(fp, total, cr).Encode()
+		data, err := dispatch.EncodeMsg(&dispatch.Msg{
+			Type: dispatch.MsgResult, Result: distsweep.NewCellEnvelope(fp, total, cr)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if envs[i], err = DecodeCell(data); err != nil {
+		m, err := dispatch.DecodeMsg(data)
+		if err != nil {
 			t.Fatal(err)
 		}
+		envs[i] = m.Result
 	}
 	return envs
 }
 
 // singleMerged is the single-process reference: the whole grid through
 // SweepCells and the one-partition Merge the CLI uses.
-func singleMerged(t *testing.T, ctx *experiments.Context, grid experiments.SweepGrid) ([]experiments.CellResult, *Merged) {
+func singleMerged(t *testing.T, ctx *experiments.Context, grid experiments.SweepGrid) ([]experiments.CellResult, *distsweep.Merged) {
 	t.Helper()
 	fp, err := ctx.GridFingerprint(grid)
 	if err != nil {
@@ -72,7 +78,7 @@ func singleMerged(t *testing.T, ctx *experiments.Context, grid experiments.Sweep
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Merge([]*Envelope{NewEnvelope(fp, 1, 0, cells)})
+	m, err := distsweep.Merge([]*distsweep.Envelope{distsweep.NewEnvelope(fp, 1, 0, cells)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +116,7 @@ func TestShardedSweepEquivalence(t *testing.T) {
 	}
 
 	for _, parts := range []int{1, 2, 3, 7} {
-		var envs []*CellEnvelope
+		var envs []*distsweep.CellEnvelope
 		for _, part := range splitCells(grid, parts) {
 			ctx := shardCtx(cacheDir)
 			cells, err := ctx.SweepCells(grid, part)
@@ -119,7 +125,7 @@ func TestShardedSweepEquivalence(t *testing.T) {
 			}
 			envs = append(envs, cellEnvelopes(t, want.Fingerprint, total, cells)...)
 		}
-		got, err := MergeCells(envs)
+		got, err := distsweep.MergeCells(envs)
 		if err != nil {
 			t.Fatalf("%d parts: %v", parts, err)
 		}
@@ -171,16 +177,16 @@ func TestShardWorkersShareProfileCacheConcurrently(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
-	var envs []*CellEnvelope
+	var envs []*distsweep.CellEnvelope
 	for p, err := range errs {
 		if err != nil {
 			t.Fatalf("part %d: %v", p, err)
 		}
 		for _, cr := range results[p] {
-			envs = append(envs, NewCellEnvelope(fp, total, cr))
+			envs = append(envs, distsweep.NewCellEnvelope(fp, total, cr))
 		}
 	}
-	got, err := MergeCells(envs)
+	got, err := distsweep.MergeCells(envs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,5 +196,45 @@ func TestShardWorkersShareProfileCacheConcurrently(t *testing.T) {
 	_, want := singleMerged(t, shardCtx(t.TempDir()), grid)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("concurrent shared-cache workers diverge from the reference sweep")
+	}
+}
+
+// TestMergeCellsRealGrid: evaluating a real grid cell-by-cell through
+// SweepCells and folding the per-cell envelopes reproduces the
+// single-process whole-grid path byte-identically.
+func TestMergeCellsRealGrid(t *testing.T) {
+	grid := equivGrid()
+	cacheDir := t.TempDir()
+	ctx := shardCtx(cacheDir)
+	fp, err := ctx.GridFingerprint(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := ctx.SweepCells(grid, grid.CellIndices())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := distsweep.Merge([]*distsweep.Envelope{distsweep.NewEnvelope(fp, 1, 0, cells)})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var envs []*distsweep.CellEnvelope
+	total := len(grid.Cells())
+	for i := total - 1; i >= 0; i-- { // reverse order: arrival must not matter
+		crs, err := shardCtx(cacheDir).SweepCells(grid, []int{i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs = append(envs, distsweep.NewCellEnvelope(fp, total, crs[0]))
+	}
+	got, err := distsweep.MergeCells(envs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, _ := want.Encode()
+	gotBytes, _ := got.Encode()
+	if !bytes.Equal(wantBytes, gotBytes) {
+		t.Fatal("cell-by-cell evaluation not byte-identical to single-process sweep")
 	}
 }

@@ -1,8 +1,8 @@
 // Execution-driver registry: the runner's end of the per-family
 // dispatch. A family's capability flags select its driver — dedicated
-// encode/decode pools run on the asynchronous eventsim driver, shared
-// pools on the synchronized cycle driver — so a family registered in
-// sched lands in both the batch Run and incremental OpenRun engines
+// encode/decode pools run as asynchronous encoder and decoder
+// pipelines, shared pools as the synchronized cycle — so a family
+// registered in sched runs under both Engine.Run and Engine.Open
 // without a new policy branch here.
 package runner
 
@@ -10,15 +10,12 @@ import (
 	"fmt"
 
 	"exegpt/internal/sched"
-	"exegpt/internal/workload"
 )
 
-// driver executes schedules for one capability class of families. Both
-// engines route through it: runBatch drains a pre-drawn request slice
-// (Engine.Run); openInit/openWake bind the incremental OpenRun's
-// pipeline state and admission restart.
+// driver binds one capability class of families to the OpenRun event
+// loop: openInit sets up the run's pipeline state and openWake restarts
+// a parked admission side.
 type driver interface {
-	runBatch(e *Engine, cfg sched.Config, alloc sched.Allocation, reqs []workload.Request) (Result, error)
 	openInit(o *OpenRun) error
 	openWake(o *OpenRun)
 }
@@ -43,10 +40,6 @@ func driverFor(p sched.Policy) (driver, error) {
 // (one encoding phase then ND decoding iterations, Figure 4(a)).
 type syncDriver struct{}
 
-func (syncDriver) runBatch(e *Engine, cfg sched.Config, alloc sched.Allocation, reqs []workload.Request) (Result, error) {
-	return e.runRRA(cfg, alloc, reqs)
-}
-
 func (syncDriver) openInit(o *OpenRun) error { return nil }
 
 func (syncDriver) openWake(o *OpenRun) { o.rraCycle() }
@@ -55,22 +48,17 @@ func (syncDriver) openWake(o *OpenRun) { o.rraCycle() }
 // decoder pipelines on the discrete-event simulator (Figure 4(b)).
 type pooledDriver struct{}
 
-func (pooledDriver) runBatch(e *Engine, cfg sched.Config, alloc sched.Allocation, reqs []workload.Request) (Result, error) {
-	return e.runWAA(cfg, alloc, reqs)
-}
-
 func (pooledDriver) openInit(o *OpenRun) error {
 	o.encStages = o.alloc.EncStages()
 	o.decStages = o.alloc.DecStages()
 	if len(o.encStages) == 0 || len(o.decStages) == 0 {
 		return fmt.Errorf("runner: WAA needs dedicated encode and decode stages")
 	}
-	o.bm = o.cfg.Bm
-	if o.bm > len(o.decStages) {
-		o.bm = len(o.decStages)
-	}
-	// Same in-flight bound as the batch engine: the encoder pipeline
-	// holds one batch per stage plus handover slack.
+	o.bm = min(o.cfg.Bm, len(o.decStages))
+	// The encoder pipeline naturally holds one batch per stage, and the
+	// KV handover keeps more in flight; bound the buffer so the encoder
+	// is never throttled below its steady issue rate but cannot run
+	// unboundedly ahead of the decoder.
 	o.maxInflight = len(o.encStages) + 3
 	return nil
 }

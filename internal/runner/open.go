@@ -1,21 +1,20 @@
-// Open-loop execution: the incremental admission seam used by the
-// online serving mode (`exegpt serve`).
+// OpenRun: the one execution loop behind both entry points.
 //
-// The batch entry point (Engine.Run) drains a pre-drawn request slice
-// to empty. An OpenRun instead owns a long-lived event simulation that
-// requests are pushed into as they arrive: the engine admits from the
-// live queue, goes idle when there is no work, wakes on the next
-// arrival, and can be drained at any point so a controller can switch
-// schedules — in-flight queries finish under the old schedule, queued
-// ones carry over to the successor engine with their original arrival
-// timestamps. Latency is therefore measured from arrival (queueing
-// included), which is what per-window SLO attainment reports need.
+// An OpenRun owns a long-lived event simulation that requests are
+// pushed into as they arrive: the engine admits from the live queue,
+// goes idle when there is no work, wakes on the next arrival, and can
+// be drained at any point so a controller can switch schedules —
+// in-flight queries finish under the old schedule, queued ones carry
+// over to the successor engine with their original arrival timestamps.
+// The online serving mode (`exegpt serve`) measures latency from
+// arrival (queueing included), which is what per-window SLO attainment
+// reports need. Engine.Run is the same loop with every request enqueued
+// at t=0 (see batchRun).
 //
-// Both policies are supported: RRA runs its synchronized
-// encode-then-ND-decodes cycle as a chain of simulator events; WAA
-// mirrors the asynchronous encoder/decoder pipelines of runWAA with the
-// pre-drawn FIFO replaced by the live queue. Everything is virtual-time
-// and single-goroutine, so a run is bit-for-bit deterministic.
+// RRA runs its synchronized encode-then-ND-decodes cycle as a chain of
+// simulator events; WAA runs asynchronous encoder and decoder pipelines
+// over the live queue. Everything is virtual-time and single-goroutine,
+// so a run is bit-for-bit deterministic.
 package runner
 
 import (
@@ -44,7 +43,7 @@ type OpenRun struct {
 
 	queue     reqFIFO
 	arrivedAt map[int]float64 // request ID -> arrival time
-	active    []*query        // query.start is the arrival time
+	active    []*query        // query.start is the latency origin (startOf)
 	totalIn   int64
 	arrivals  int64
 
@@ -66,9 +65,17 @@ type OpenRun struct {
 
 	// drv is the execution driver the policy's family selected.
 	drv driver
+	// batch is set only by Engine.Run.
+	batch *batchRun
 
-	// Dedicated-pool pipeline state (mirrors runWAA); populated by the
-	// pooled driver's openInit.
+	// Event callbacks, bound once in Open so that scheduling the next
+	// decode iteration or encoder issue allocates nothing.
+	rraDecodeFn, rraDoneFn, startEncodeFn, iterDoneFn func()
+	// iter is the RRA decode iteration within the current cycle.
+	iter int
+
+	// Dedicated-pool pipeline state; populated by the pooled driver's
+	// openInit.
 	encStages, decStages []sched.Stage
 	bm                   int
 	inbox                []openArrival
@@ -79,9 +86,52 @@ type OpenRun struct {
 }
 
 // openArrival is an encoded batch in KV handover or waiting for decoder
-// capacity.
+// capacity. issuedAt is when its encode was issued (Engine.Run's
+// latency origin for WAA).
 type openArrival struct {
-	batch []workload.Request
+	batch    []workload.Request
+	issuedAt float64
+}
+
+// batchRun carries the two ways Engine.Run reports differently from an
+// open run. Both come from the offline evaluation, where the whole
+// request stream is present at t=0:
+//
+//   - Latency counts from decoder admission, not arrival: the end of
+//     the RRA encode phase, or the WAA encode issue.
+//   - Table 7 stage samples are restricted to steady state. RRA keeps
+//     encoder samples only while requests are still queued, and buffers
+//     decoder samples (also only while queued) for steadyDecStage. WAA
+//     keeps decoder samples only until the encoder has parked on the
+//     drained queue.
+type batchRun struct {
+	decSamples []decSample
+}
+
+// decSample is one RRA decode iteration's stage times and batch size.
+type decSample struct {
+	active int
+	times  []float64
+}
+
+// steadyDecStage records the buffered decoder samples of iterations
+// that ran within theta of the largest batch the decoder achieved: that
+// is the schedule's operating point, whether or not the request stream
+// ever filled the nominal BD. The achieved batch is only known once the
+// run is over.
+func (b *batchRun) steadyDecStage(rec *metrics.Recorder, theta float64) {
+	peak := 0
+	for _, s := range b.decSamples {
+		peak = max(peak, s.active)
+	}
+	floor := float64(peak) * (1 - theta)
+	for _, s := range b.decSamples {
+		if float64(s.active) >= floor {
+			for _, t := range s.times {
+				rec.Add(t)
+			}
+		}
+	}
 }
 
 // Open starts an open-loop execution of the schedule with the engine's
@@ -107,6 +157,8 @@ func (e *Engine) Open(cfg sched.Config, alloc sched.Allocation, startAt float64)
 		parked:    true,
 	}
 	o.sim.MaxSteps = 500_000_000
+	o.rraDecodeFn, o.rraDoneFn = o.rraDecode, o.rraDecodeDone
+	o.startEncodeFn, o.iterDoneFn = o.startEncode, o.iterateDone
 	drv, err := driverFor(cfg.Policy)
 	if err != nil {
 		return nil, err
@@ -155,8 +207,8 @@ func (o *OpenRun) Result() Result {
 	return res
 }
 
-// meanIn is the running mean input length over everything that arrived;
-// the batch engine's fixed whole-stream mean is not available online.
+// meanIn is the running mean input length over everything that arrived
+// (for Engine.Run, the whole stream).
 func (o *OpenRun) meanIn() float64 {
 	if o.arrivals == 0 {
 		return 1
@@ -181,10 +233,20 @@ func (o *OpenRun) Push(req workload.Request, at float64) {
 }
 
 func (o *OpenRun) applyArrival(req workload.Request, at float64) {
+	o.enqueue(req, at)
+	o.wake()
+}
+
+// enqueue queues an arrived request without waking the engine.
+func (o *OpenRun) enqueue(req workload.Request, at float64) {
 	o.queue.push(req)
 	o.arrivedAt[req.ID] = at
 	o.arrivals++
 	o.totalIn += int64(req.InLen)
+}
+
+// wake restarts a parked admission side.
+func (o *OpenRun) wake() {
 	if o.parked {
 		o.parked = false
 		o.drv.openWake(o)
@@ -233,10 +295,19 @@ func (o *OpenRun) hasEncodeWork() bool {
 }
 
 // takeBatch forms the next encode batch from the live queue through the
-// engine's batch-formation policy — the single admission call site both
-// drivers share (previously duplicated in rraCycle and startEncode).
+// engine's batch-formation policy, the one admission call site both
+// drivers share.
 func (o *OpenRun) takeBatch() []workload.Request {
 	return o.eng.formation().Take(&o.queue, o.cfg.BE, o.meanIn(), len(o.active), o.cfg.BD)
+}
+
+// startOf is the latency origin of an admitted request: its arrival
+// time, or for Engine.Run its decoder-admission time admittedAt.
+func (o *OpenRun) startOf(r workload.Request, admittedAt float64) float64 {
+	if o.batch != nil {
+		return admittedAt
+	}
+	return o.arrivedAt[r.ID]
 }
 
 // complete applies one decode iteration's survivors/completions at the
@@ -260,13 +331,19 @@ func (o *OpenRun) complete() {
 			}
 		} else {
 			if err := appendToken(o.states, q.req.ID); err != nil {
-				o.err = fmt.Errorf("runner: open decode OOM: %w", err)
+				o.err = fmt.Errorf("runner: decode OOM: %w", err)
 				return
 			}
 			survivors = append(survivors, q)
 		}
 	}
 	o.active = survivors
+}
+
+// doesNotFit is the error for a request that cannot be admitted even
+// with no other query holding KV memory.
+func doesNotFit(r workload.Request) error {
+	return fmt.Errorf("runner: query %d does not fit in KV memory even on an idle system", r.ID)
 }
 
 // rraCycle runs one RRA cycle: an encoding phase over whatever has
@@ -287,74 +364,85 @@ func (o *OpenRun) rraCycle() {
 		if deferred > 0 {
 			o.queue.Rewind(deferred)
 		}
-		for _, r := range admitted {
-			o.active = append(o.active, &query{req: r, start: o.arrivedAt[r.ID]})
-		}
 		if len(admitted) == 0 && len(o.active) == 0 {
-			o.err = fmt.Errorf("runner: open RRA query %d does not fit in KV memory even on an idle system", batch[0].ID)
+			o.err = doesNotFit(batch[0])
 			return
 		}
 		if len(admitted) > 0 {
-			microTokens := tokens / rraMicroBatches
-			if microTokens < 1 {
-				microTokens = 1
-			}
+			// The phase runs as rraMicroBatches interleaved mini-batches
+			// (Figure 4(a)); stage times are per micro-batch.
+			microTokens := max(tokens/rraMicroBatches, 1)
 			times, err := o.eng.encStageTimes(o.alloc.Stages, microTokens, o.meanIn())
 			if err != nil {
 				o.err = err
 				return
 			}
-			for _, t := range times {
-				o.res.EncStage.Add(t)
+			if o.batch == nil || o.queue.Len() > 0 {
+				for _, t := range times {
+					o.res.EncStage.Add(t)
+				}
 			}
 			encDur = pipelinePeriod(times, rraMicroBatches)
 		}
+		admittedAt := o.sim.Now() + encDur
+		for _, r := range admitted {
+			o.active = append(o.active, &query{req: r, start: o.startOf(r, admittedAt)})
+		}
 	}
-	o.sim.After(encDur, func() { o.rraDecode(0) })
+	o.iter = 0
+	o.sim.After(encDur, o.rraDecodeFn)
 }
 
-// rraDecode runs decode iteration u of the current cycle.
-func (o *OpenRun) rraDecode(u int) {
+// rraDecode issues decode iteration o.iter of the current cycle, or
+// starts the next cycle once ND iterations ran or the batch emptied.
+func (o *OpenRun) rraDecode() {
 	if o.err != nil {
 		return
 	}
-	if u >= o.cfg.ND || len(o.active) == 0 {
+	if o.iter >= o.cfg.ND || len(o.active) == 0 {
 		o.rraCycle()
 		return
 	}
 	ctx := meanCtxOf(o.eng.Model, o.active)
-	micro := len(o.active) / rraMicroBatches
-	if micro < 1 {
-		micro = 1
-	}
+	micro := max(len(o.active)/rraMicroBatches, 1)
 	times, err := o.eng.decStageTimes(o.alloc.Stages, micro, ctx)
 	if err != nil {
 		o.err = err
 		return
 	}
-	for _, t := range times {
-		o.res.DecStage.Add(t)
+	switch {
+	case o.batch == nil:
+		for _, t := range times {
+			o.res.DecStage.Add(t)
+		}
+	case o.queue.Len() > 0:
+		o.batch.decSamples = append(o.batch.decSamples, decSample{active: len(o.active), times: times})
 	}
-	o.sim.After(pipelinePeriod(times, rraMicroBatches), func() {
-		o.res.Iterations++
-		o.complete()
-		if o.err != nil {
-			return
-		}
-		if cost, ran := o.eng.maybeCompact(o.states); ran {
-			o.res.Compactions++
-			o.res.CompactionSeconds += cost
-			o.sim.After(cost, func() { o.rraDecode(u + 1) })
-			return
-		}
-		o.rraDecode(u + 1)
-	})
+	o.sim.After(pipelinePeriod(times, rraMicroBatches), o.rraDoneFn)
+}
+
+// rraDecodeDone retires decode iteration o.iter and, after any KV
+// compaction, issues the next.
+func (o *OpenRun) rraDecodeDone() {
+	o.res.Iterations++
+	o.complete()
+	if o.err != nil {
+		return
+	}
+	o.iter++
+	if cost, ran := o.eng.maybeCompact(o.states); ran {
+		o.res.Compactions++
+		o.res.CompactionSeconds += cost
+		o.sim.After(cost, o.rraDecodeFn)
+		return
+	}
+	o.rraDecode()
 }
 
 // startEncode issues one WAA encoder batch from the live queue and
-// pipelines the next issue one stage period later, exactly as the
-// batch engine does; with nothing to take it parks (arrival wakes it),
-// and at the in-flight cap it stops (the decoder restarts it on merge).
+// pipelines the next issue one stage period later; with nothing to take
+// it parks (arrival wakes it), and at the in-flight cap it stops (the
+// decoder restarts it on merge).
 func (o *OpenRun) startEncode() {
 	if o.err != nil {
 		return
@@ -389,18 +477,22 @@ func (o *OpenRun) startEncode() {
 	handover := trav + o.eng.Prof.KVTransfer(tokens)
 	o.inflight++
 	o.inflightReqs += len(batch)
+	a := openArrival{batch: batch, issuedAt: o.sim.Now()}
 	o.sim.After(handover, func() {
-		o.inbox = append(o.inbox, openArrival{batch: batch})
+		o.inbox = append(o.inbox, a)
 		if !o.decoding {
 			o.iterate()
 		}
 	})
-	o.sim.After(period, o.startEncode)
+	o.sim.After(period, o.startEncodeFn)
 }
 
-// iterate is the WAA decoder loop: merge arrived batches that fit, run
-// one iteration, reschedule. Mirrors runWAA's iterate over the live
-// queue.
+// iterate is the WAA decoder loop: merge arrived batches that fit
+// (§4.1: encoded batches merge with previously decoded data), run one
+// iteration, reschedule. Arrivals that do not fit yet wait for capacity
+// freed by completing queries; the waiting list compacts in place and
+// leftover batches stay subslices, so a stalled decoder never copies
+// queued requests.
 func (o *OpenRun) iterate() {
 	if o.err != nil {
 		return
@@ -414,17 +506,17 @@ func (o *OpenRun) iterate() {
 	for _, a := range o.inbox {
 		admitted, deferred := sel.Admit(a.batch, tryAdmit)
 		for _, r := range admitted {
-			o.active = append(o.active, &query{req: r, start: o.arrivedAt[r.ID]})
+			o.active = append(o.active, &query{req: r, start: o.startOf(r, a.issuedAt)})
 			o.inflightReqs--
 			merged = true
 		}
 		if deferred > 0 {
 			i := len(a.batch) - deferred
 			if len(o.active) == 0 {
-				o.err = fmt.Errorf("runner: open WAA query %d does not fit in KV memory even on an idle decoder", a.batch[i].ID)
+				o.err = doesNotFit(a.batch[i])
 				return
 			}
-			waiting = append(waiting, openArrival{batch: a.batch[i:]})
+			waiting = append(waiting, openArrival{batch: a.batch[i:], issuedAt: a.issuedAt})
 		} else {
 			o.inflight--
 		}
@@ -446,18 +538,17 @@ func (o *OpenRun) iterate() {
 	}
 	o.decoding = true
 
-	micro := len(o.active) / o.bm
-	if micro < 1 {
-		micro = 1
-	}
+	micro := max(len(o.active)/o.bm, 1)
 	ctx := meanCtxOf(o.eng.Model, o.active)
 	times, terr := o.eng.decStageTimes(o.decStages, micro, ctx)
 	if terr != nil {
 		o.err = terr
 		return
 	}
-	for _, t := range times {
-		o.res.DecStage.Add(t)
+	if o.batch == nil || !o.parked {
+		for _, t := range times {
+			o.res.DecStage.Add(t)
+		}
 	}
 	dur := pipelinePeriod(times, o.bm)
 	if cost, ran := o.eng.maybeCompact(o.states); ran {
@@ -465,12 +556,15 @@ func (o *OpenRun) iterate() {
 		o.res.Compactions++
 		o.res.CompactionSeconds += cost
 	}
-	o.sim.After(dur, func() {
-		o.res.Iterations++
-		o.complete()
-		if o.err != nil {
-			return
-		}
-		o.iterate()
-	})
+	o.sim.After(dur, o.iterDoneFn)
+}
+
+// iterateDone retires one WAA decode iteration and starts the next.
+func (o *OpenRun) iterateDone() {
+	o.res.Iterations++
+	o.complete()
+	if o.err != nil {
+		return
+	}
+	o.iterate()
 }

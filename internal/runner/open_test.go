@@ -253,10 +253,12 @@ func TestOpenDeterministic(t *testing.T) {
 	}
 }
 
-// TestOpenMatchesBatchThroughput sanity-checks the open engine against
-// the batch engine: with every request arriving at t=0 the open RRA run
-// is the same workload as a batch run, so steady throughput should land
-// in the same ballpark (the admission paths differ slightly).
+// TestOpenMatchesBatchThroughput sanity-checks Push against Engine.Run:
+// both drive the same OpenRun loop, and with every request arriving at
+// t=0 they differ only in wake timing (Push wakes the driver on the
+// first arrival, so the first batch sees a one-request mean input
+// length; Run enqueues the whole stream first), so throughput should
+// land in the same ballpark.
 func TestOpenMatchesBatchThroughput(t *testing.T) {
 	e := openEngine(t)
 	reqs := requests(t, workload.Summarization, 200, 13)

@@ -13,16 +13,19 @@
 //     shrunk to keep the encoder token workload and the decoder batch
 //     near their scheduled averages.
 //
-// RRA executes as a synchronized phase loop (one encoding phase then ND
-// decoding iterations, Figure 4(a)); WAA runs the encoder and decoder
-// pipelines asynchronously on a discrete-event simulator (Figure 4(b)).
+// Every execution is an OpenRun (open.go) on a discrete-event
+// simulator: RRA runs its synchronized cycle (one encoding phase then
+// ND decoding iterations, Figure 4(a)) as a chain of events, WAA its
+// asynchronous encoder and decoder pipelines (Figure 4(b)). The online
+// serving mode pushes requests in as they arrive; the batch entry
+// point Run enqueues a whole request stream at t=0 and runs it to
+// completion.
 package runner
 
 import (
 	"fmt"
 	"math"
 
-	"exegpt/internal/eventsim"
 	"exegpt/internal/hw"
 	"exegpt/internal/kvcache"
 	"exegpt/internal/metrics"
@@ -301,39 +304,45 @@ func meanCtxOf(m model.Model, active []*query) float64 {
 	return float64(total) / float64(len(active))
 }
 
-// Run dispatches on the schedule's policy through the execution-driver
-// registry (driver.go).
+// Run executes the schedule over a request stream that is wholly
+// present at t=0. It is an OpenRun whose requests are all enqueued
+// before the driver first wakes, so batch formation sees the
+// whole-stream mean input length from the first batch on; the run then
+// executes to completion. See batchRun for the two ways its reporting
+// differs from an open run.
 func (e *Engine) Run(cfg sched.Config, alloc sched.Allocation, reqs []workload.Request) (Result, error) {
-	if err := cfg.Validate(e.Cluster.TotalGPUs()); err != nil {
-		return Result{}, err
-	}
 	if len(reqs) == 0 {
 		return Result{}, fmt.Errorf("runner: no requests")
 	}
-	d, err := driverFor(cfg.Policy)
+	o, err := e.Open(cfg, alloc, 0)
 	if err != nil {
 		return Result{}, err
 	}
-	return d.runBatch(e, cfg, alloc, reqs)
+	o.batch = &batchRun{}
+	for _, r := range reqs {
+		o.enqueue(r, 0)
+	}
+	o.wake()
+	if err := o.Finish(); err != nil {
+		return Result{}, err
+	}
+	o.batch.steadyDecStage(o.res.DecStage, e.Theta)
+	res := o.Result()
+	if res.Stats.Completed != len(reqs) {
+		return Result{}, fmt.Errorf("runner: completed %d of %d requests (stall)", res.Stats.Completed, len(reqs))
+	}
+	return res, nil
 }
 
 // rraMicroBatches matches Figure 4(a)'s two interleaved mini-batches.
 const rraMicroBatches = 2
 
-// reqFIFO is an index-cursor FIFO over an immutable request slice.
-// Batches come out as subslices (no copying) and a failed admission
-// rewinds the cursor, so deferred admission is O(1) instead of the old
-// re-prepend (`append(copy(batch[i:]), pending...)`), which copied the
-// whole remaining queue on every stall.
+// reqFIFO is an index-cursor FIFO of queued requests. Batches come out
+// as subslices (no copying) and a failed admission rewinds the cursor,
+// so deferring admission costs O(1), not a copy of the remaining queue.
 type reqFIFO struct {
 	items []workload.Request
 	head  int
-}
-
-// newReqFIFO copies reqs once: the backing array must stay immutable
-// while subslices of it are in flight as encode batches.
-func newReqFIFO(reqs []workload.Request) reqFIFO {
-	return reqFIFO{items: append([]workload.Request(nil), reqs...)}
 }
 
 // Len returns the number of queued requests.
@@ -370,137 +379,6 @@ func (q *reqFIFO) push(r workload.Request) {
 	q.items = append(q.items, r)
 }
 
-// runRRA executes the synchronized encode/decode phase loop.
-func (e *Engine) runRRA(cfg sched.Config, alloc sched.Allocation, reqs []workload.Request) (Result, error) {
-	states, err := e.newStageStates(alloc)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{EncStage: metrics.NewRecorder(), DecStage: metrics.NewRecorder()}
-	rec := metrics.NewRecorder()
-
-	pending := newReqFIFO(reqs)
-	var active []*query
-	meanIn := meanInLen(reqs)
-	now := 0.0
-
-	// decSample buffers per-iteration decode stage times so the Table 7
-	// variance stats can be restricted to steady state after the fact:
-	// the sustainable decoder batch is only known once the run is over.
-	type decSample struct {
-		active int
-		times  []float64
-	}
-	var decSamples []decSample
-
-	for pending.Len() > 0 || len(active) > 0 {
-		// Encoding phase (skipped while draining).
-		if pending.Len() > 0 {
-			batch := e.formation().Take(&pending, cfg.BE, meanIn, len(active), cfg.BD)
-			admitted, tokens, deferred := e.admitBatch(states, batch)
-			if deferred > 0 {
-				// Out of memory: rewind the deferred victims onto the
-				// queue front and proceed with what fits.
-				pending.Rewind(deferred)
-			}
-			if len(admitted) == 0 && len(active) == 0 {
-				return Result{}, fmt.Errorf("runner: query %d does not fit in KV memory even on an idle system", batch[0].ID)
-			}
-			if len(admitted) > 0 {
-				// The phase runs as rraMicroBatches interleaved
-				// mini-batches (Figure 4(a)); stage times are per micro.
-				microTokens := tokens / rraMicroBatches
-				if microTokens < 1 {
-					microTokens = 1
-				}
-				times, err := e.encStageTimes(alloc.Stages, microTokens, meanIn)
-				if err != nil {
-					return Result{}, err
-				}
-				// Stage-time variance (Table 7) is a steady-state
-				// property: skip the drain tail where batches shrink.
-				if pending.Len() > 0 {
-					for _, t := range times {
-						res.EncStage.Add(t)
-					}
-				}
-				now += pipelinePeriod(times, rraMicroBatches)
-				for _, r := range admitted {
-					active = append(active, &query{req: r, start: now})
-				}
-			}
-		}
-
-		// ND decoding iterations.
-		for u := 0; u < cfg.ND && len(active) > 0; u++ {
-			ctx := meanCtxOf(e.Model, active)
-			micro := len(active) / rraMicroBatches
-			if micro < 1 {
-				micro = 1
-			}
-			times, err := e.decStageTimes(alloc.Stages, micro, ctx)
-			if err != nil {
-				return Result{}, err
-			}
-			// Stage-time variance (Table 7) is a steady-state property:
-			// skip the drain tail now and the ramp-up in the post-pass
-			// below (the achieved steady batch is only known at the end).
-			if pending.Len() > 0 {
-				decSamples = append(decSamples, decSample{
-					active: len(active),
-					times:  append([]float64(nil), times...),
-				})
-			}
-			now += pipelinePeriod(times, rraMicroBatches)
-			res.Iterations++
-
-			survivors := active[:0]
-			for _, q := range active {
-				q.pos++
-				if q.pos >= q.req.OutLen {
-					release(states, q.req.ID)
-					rec.Add(now - q.start)
-					res.Records = append(res.Records, QueryRecord{
-						ID: q.req.ID, Start: q.start, End: now,
-						InLen: q.req.InLen, OutLen: q.req.OutLen,
-					})
-				} else {
-					if err := appendToken(states, q.req.ID); err != nil {
-						return Result{}, fmt.Errorf("runner: decode OOM: %w", err)
-					}
-					survivors = append(survivors, q)
-				}
-			}
-			active = survivors
-			if cost, ran := e.maybeCompact(states); ran {
-				now += cost
-				res.Compactions++
-				res.CompactionSeconds += cost
-			}
-		}
-	}
-	// Keep only iterations where the decoder ran within Theta of the
-	// largest batch it achieved: that is the schedule's operating point,
-	// whether or not the request stream ever filled the nominal BD.
-	peakActive := 0
-	for _, s := range decSamples {
-		if s.active > peakActive {
-			peakActive = s.active
-		}
-	}
-	floor := float64(peakActive) * (1 - e.Theta)
-	for _, s := range decSamples {
-		if float64(s.active) >= floor {
-			for _, t := range s.times {
-				res.DecStage.Add(t)
-			}
-		}
-	}
-	res.Stats = metrics.Summarize(rec, now, completionTimes(res.Records))
-	res.PeakDecMemPerGPU = peakMem(states)
-	return res, nil
-}
-
 // completionTimes extracts the End timestamps of the records.
 func completionTimes(records []QueryRecord) []float64 {
 	ends := make([]float64, len(records))
@@ -508,215 +386,4 @@ func completionTimes(records []QueryRecord) []float64 {
 		ends[i] = r.End
 	}
 	return ends
-}
-
-// runWAA executes the asynchronous encoder/decoder pipelines on the
-// discrete-event simulator.
-func (e *Engine) runWAA(cfg sched.Config, alloc sched.Allocation, reqs []workload.Request) (Result, error) {
-	states, err := e.newStageStates(alloc)
-	if err != nil {
-		return Result{}, err
-	}
-	encStages := alloc.EncStages()
-	decStages := alloc.DecStages()
-	if len(encStages) == 0 || len(decStages) == 0 {
-		return Result{}, fmt.Errorf("runner: WAA needs dedicated encode and decode stages")
-	}
-	bm := cfg.Bm
-	if bm > len(decStages) {
-		bm = len(decStages)
-	}
-
-	res := Result{EncStage: metrics.NewRecorder(), DecStage: metrics.NewRecorder()}
-	rec := metrics.NewRecorder()
-	sim := eventsim.New()
-	sim.MaxSteps = 50_000_000
-
-	pending := newReqFIFO(reqs)
-	meanIn := meanInLen(reqs)
-	var active []*query
-	type arrival struct {
-		batch []workload.Request
-		start float64
-	}
-	var inbox []arrival
-	inflight := 0 // encoder batches not yet merged by the decoder
-	// The encoder pipeline naturally holds one batch per stage, and the
-	// KV handover keeps more in flight; bound the buffer so the encoder
-	// is never throttled below its steady issue rate but cannot run
-	// unboundedly ahead of the decoder.
-	maxInflight := len(encStages) + 3
-	encDone := false
-	var runErr error
-
-	var startEncode func()
-	var iterate func()
-	decoding := false
-
-	startEncode = func() {
-		if runErr != nil {
-			return
-		}
-		if pending.Len() == 0 {
-			encDone = true
-			if !decoding {
-				iterate()
-			}
-			return
-		}
-		if inflight >= maxInflight {
-			// Encoder stalls until the decoder drains the buffer; the
-			// decoder restarts it.
-			return
-		}
-		batch := e.formation().Take(&pending, cfg.BE, meanIn, len(active), cfg.BD)
-		tokens := 0
-		for _, r := range batch {
-			tokens += r.InLen
-		}
-		times, terr := e.encStageTimes(encStages, tokens, meanIn)
-		if terr != nil {
-			runErr = terr
-			return
-		}
-		for _, t := range times {
-			res.EncStage.Add(t)
-		}
-		period := 0.0
-		var trav float64
-		for _, t := range times {
-			trav += t
-			if t > period {
-				period = t
-			}
-		}
-		handover := trav + e.Prof.KVTransfer(tokens)
-		start := sim.Now()
-		inflight++
-		sim.After(handover, func() {
-			inbox = append(inbox, arrival{batch: batch, start: start})
-			if !decoding {
-				iterate()
-			}
-		})
-		// Pipelined issue: the next batch enters the first stage after
-		// one stage period.
-		sim.After(period, startEncode)
-	}
-
-	iterate = func() {
-		if runErr != nil {
-			return
-		}
-		// Merge arrivals (§4.1: encoded batches merge with previously
-		// decoded data). Arrivals that do not fit yet wait for capacity
-		// freed by completing queries. The waiting list compacts in
-		// place (the write index never passes the read index) and
-		// leftover batches stay subslices, so a stalled decoder never
-		// copies queued requests.
-		waiting := inbox[:0]
-		merged := false
-		sel := e.victims()
-		tryAdmit := func(r workload.Request) error {
-			return admit(states, r.ID, e.promptTokens(r))
-		}
-		for _, a := range inbox {
-			admitted, deferred := sel.Admit(a.batch, tryAdmit)
-			for _, r := range admitted {
-				active = append(active, &query{req: r, start: a.start})
-				merged = true
-			}
-			if deferred > 0 {
-				i := len(a.batch) - deferred
-				if len(active) == 0 {
-					runErr = fmt.Errorf("runner: WAA query %d does not fit in KV memory even on an idle decoder", a.batch[i].ID)
-					return
-				}
-				waiting = append(waiting, arrival{batch: a.batch[i:], start: a.start})
-			} else {
-				inflight--
-			}
-		}
-		restartEnc := merged
-		inbox = waiting
-		if restartEnc && !encDone {
-			startEncode()
-		}
-		if len(active) == 0 {
-			decoding = false
-			if encDone && inflight == 0 {
-				return // finished
-			}
-			return // wait for arrivals
-		}
-		decoding = true
-
-		micro := len(active) / bm
-		if micro < 1 {
-			micro = 1
-		}
-		ctx := meanCtxOf(e.Model, active)
-		times, terr := e.decStageTimes(decStages, micro, ctx)
-		if terr != nil {
-			runErr = terr
-			return
-		}
-		if !encDone {
-			for _, t := range times {
-				res.DecStage.Add(t)
-			}
-		}
-		dur := pipelinePeriod(times, bm)
-		if cost, ran := e.maybeCompact(states); ran {
-			dur += cost
-			res.Compactions++
-			res.CompactionSeconds += cost
-		}
-		sim.After(dur, func() {
-			res.Iterations++
-			survivors := active[:0]
-			for _, q := range active {
-				q.pos++
-				if q.pos >= q.req.OutLen {
-					release(states, q.req.ID)
-					rec.Add(sim.Now() - q.start)
-					res.Records = append(res.Records, QueryRecord{
-						ID: q.req.ID, Start: q.start, End: sim.Now(),
-						InLen: q.req.InLen, OutLen: q.req.OutLen,
-					})
-				} else {
-					if err := appendToken(states, q.req.ID); err != nil {
-						runErr = fmt.Errorf("runner: WAA decode OOM: %w", err)
-						return
-					}
-					survivors = append(survivors, q)
-				}
-			}
-			active = survivors
-			iterate()
-		})
-	}
-
-	startEncode()
-	end := sim.Run()
-	if runErr != nil {
-		return Result{}, runErr
-	}
-	res.Stats = metrics.Summarize(rec, end, completionTimes(res.Records))
-	res.PeakDecMemPerGPU = peakMem(states)
-	if res.Stats.Completed != len(reqs) {
-		return Result{}, fmt.Errorf("runner: WAA completed %d of %d requests (stall)", res.Stats.Completed, len(reqs))
-	}
-	return res, nil
-}
-
-func meanInLen(reqs []workload.Request) float64 {
-	if len(reqs) == 0 {
-		return 1
-	}
-	t := 0
-	for _, r := range reqs {
-		t += r.InLen
-	}
-	return float64(t) / float64(len(reqs))
 }

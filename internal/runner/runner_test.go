@@ -2,6 +2,7 @@ package runner
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"exegpt/internal/hw"
@@ -233,20 +234,54 @@ func TestDecoderVarianceSmall(t *testing.T) {
 	}
 }
 
-// A schedule whose KV cannot fit even one query fails loudly.
+// hugePrompt is one request whose prompt exceeds a stage's KV memory,
+// so not even an idle system can admit it.
+func hugePrompt() []workload.Request {
+	return []workload.Request{{ID: 0, InLen: 10_000_000, OutLen: 1}}
+}
+
+// longGenerations are 64 requests whose outputs outgrow KV memory while
+// decoding.
+func longGenerations() []workload.Request {
+	reqs := make([]workload.Request, 64)
+	for i := range reqs {
+		reqs[i] = workload.Request{ID: i, InLen: 1000, OutLen: 1_000_000}
+	}
+	return reqs
+}
+
+// Schedules whose memory cannot hold the work fail loudly, and both
+// drivers word each failure the same way.
 func TestOOMFailsLoudly(t *testing.T) {
-	e := engine(t, model.GPT3175B, 16, hw.A100Cluster)
+	big := engine(t, model.GPT3175B, 16, hw.A100Cluster)
 	// Single-GPU stage must hold 96/16 layers of a 175B model: weights
 	// fit, but a WAA allocation with 15 encode / 1 decode GPU cannot
 	// hold the decode-side copy.
-	if _, err := sched.AllocateWAA(e.Model, e.Cluster, sched.WAAM, 15, 1, sched.TPSpec{Degree: 1}); err != nil {
-		t.Skip("allocation rejected earlier")
+	if alloc, err := sched.AllocateWAA(big.Model, big.Cluster, sched.WAAM, 15, 1, sched.TPSpec{Degree: 1}); err == nil {
+		cfg := sched.Config{Policy: sched.WAAM, BE: 4, BD: 64, Bm: 1, TP: sched.TPSpec{Degree: 1}}
+		_, err := big.Run(cfg, alloc, requests(t, workload.ConvQA2, 50, 29))
+		if err == nil || !strings.Contains(err.Error(), "weights do not fit") {
+			t.Fatalf("175B on one decode GPU: err %v, want weights do not fit", err)
+		}
 	}
-	alloc, _ := sched.AllocateWAA(e.Model, e.Cluster, sched.WAAM, 15, 1, sched.TPSpec{Degree: 1})
-	cfg := sched.Config{Policy: sched.WAAM, BE: 4, BD: 64, Bm: 1, TP: sched.TPSpec{Degree: 1}}
-	_, err := e.Run(cfg, alloc, requests(t, workload.ConvQA2, 50, 29))
-	if err == nil {
-		t.Fatal("expected an OOM error")
+
+	e := engine(t, model.OPT13B, 4, hw.A40Cluster)
+	tp := sched.TPSpec{Degree: 1}
+	for _, d := range []struct {
+		cfg   sched.Config
+		alloc sched.Allocation
+	}{
+		{rraConfig(64, 8), rraAlloc(t, e, tp)},
+		{sched.Config{Policy: sched.WAAM, BE: 4, BD: 64, Bm: 2, TP: tp}, waaAlloc(t, e, 1, 3, tp)},
+	} {
+		_, err := e.Run(d.cfg, d.alloc, hugePrompt())
+		if want := "runner: query 0 does not fit in KV memory even on an idle system"; err == nil || err.Error() != want {
+			t.Errorf("%v huge prompt: err %v, want %q", d.cfg.Policy, err, want)
+		}
+		_, err = e.Run(d.cfg, d.alloc, longGenerations())
+		if err == nil || !strings.HasPrefix(err.Error(), "runner: decode OOM: ") {
+			t.Errorf("%v long generations: err %v, want a decode OOM", d.cfg.Policy, err)
+		}
 	}
 }
 
@@ -318,12 +353,21 @@ func BenchmarkRunRRA(b *testing.B) {
 	}
 }
 
+// fifoOf queues reqs in order.
+func fifoOf(reqs []workload.Request) *reqFIFO {
+	q := &reqFIFO{}
+	for _, r := range reqs {
+		q.push(r)
+	}
+	return q
+}
+
 // TestReqFIFO pins the index-cursor queue semantics the encode path
 // relies on: batches come out in order, and a rewind restores the tail
 // of the last batch to the queue front without disturbing order.
 func TestReqFIFO(t *testing.T) {
 	reqs := requests(t, workload.Summarization, 10, 47)
-	q := newReqFIFO(reqs)
+	q := fifoOf(reqs)
 	if q.Len() != 10 {
 		t.Fatalf("len = %d, want 10", q.Len())
 	}
@@ -351,25 +395,79 @@ func TestReqFIFO(t *testing.T) {
 		}
 	}
 	// Oversized peek clamps.
-	q2 := newReqFIFO(reqs[:2])
+	q2 := fifoOf(reqs[:2])
 	if len(q2.Peek(100)) != 2 {
 		t.Fatal("peek must clamp to queue length")
 	}
 }
 
-// BenchmarkEngineRun pins the end-to-end engine cost on a KV-pressured
-// deployment: BD far above what memory admits, so every encoding phase
-// exercises the deferred-admission requeue path that used to copy the
-// whole pending queue.
+// engineRunConfig is the RRA schedule of BenchmarkEngineRun: BD far
+// above the decoder batch the §5.2 formation ever builds, so the run is
+// bounded by formation and memory rather than by BD. (With this engine
+// a deferred admission leaves too little KV headroom for the next
+// decode step, so runs that defer end in a decode OOM; the golden
+// pins one such run.)
+func engineRunConfig() sched.Config { return rraConfig(2048, 8) }
+
+// engineRunWAAConfig is the dedicated-pool counterpart at the same BD.
+func engineRunWAAConfig() sched.Config {
+	return sched.Config{Policy: sched.WAAM, BE: 16, BD: 2048, Bm: 2, TP: sched.TPSpec{Degree: 1}}
+}
+
+// BenchmarkEngineRun pins the end-to-end batch engine cost on a
+// 1,500-request RRA run.
 func BenchmarkEngineRun(b *testing.B) {
 	e := engine(b, model.OPT13B, 4, hw.A40Cluster)
 	reqs := requests(b, workload.Summarization, 1500, 53)
 	alloc := rraAlloc(b, e, sched.TPSpec{Degree: 1})
-	cfg := rraConfig(2048, 8)
+	cfg := engineRunConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Run(cfg, alloc, reqs); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkEngineRunWAA is BenchmarkEngineRun on the dedicated-pool
+// driver, so the bench smoke covers both drivers' batch paths.
+func BenchmarkEngineRunWAA(b *testing.B) {
+	e := engine(b, model.OPT13B, 4, hw.A40Cluster)
+	reqs := requests(b, workload.Summarization, 1500, 53)
+	alloc := waaAlloc(b, e, 1, 3, sched.TPSpec{Degree: 1})
+	cfg := engineRunWAAConfig()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Run(cfg, alloc, reqs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestRunAllocsBounded gates the batch path's allocations on the
+// BenchmarkEngineRun config (~15.2k per run with Go 1.24). The event
+// callbacks are bound once per run, so a closure allocated per decode
+// iteration (~10.8k iterations) fails the bound.
+func TestRunAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	e := engine(t, model.OPT13B, 4, hw.A40Cluster)
+	reqs := requests(t, workload.Summarization, 1500, 53)
+	alloc := rraAlloc(t, e, sched.TPSpec{Degree: 1})
+	cfg := engineRunConfig()
+	var runErr error
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := e.Run(cfg, alloc, reqs); err != nil {
+			runErr = err
+		}
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	const bound = 16_000
+	if allocs > bound {
+		t.Fatalf("Engine.Run allocated %.0f times per run, bound %d", allocs, bound)
+	}
+	t.Logf("Engine.Run: %.0f allocs/run", allocs)
 }
