@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint bench bench-report dist-smoke serve-smoke serve-golden policy-conformance clean
+.PHONY: all build test race lint bench dist-smoke serve-smoke serve-golden policy-conformance clean
 
 all: build
 
@@ -59,15 +59,11 @@ lint:
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi
 
-# Compare the reference and Evaluator estimate paths plus the
-# sequential/parallel/multi-bound schedule search.
+# Compare the reference and Evaluator estimate paths, steady-state and
+# cold memoized search, and the sequential/parallel/multi-bound
+# schedule search.
 bench:
 	$(GO) test -bench 'FindBest|Estimate' -run '^$$' -benchmem ./internal/core/
-
-# Regenerate the committed Estimate/FindBest and multi-bound sweep
-# perf reports.
-bench-report: build
-	./exegpt bench -time 1 -out BENCH_estimate.json -sweep-out BENCH_sweep.json
 
 clean:
 	rm -f exegpt

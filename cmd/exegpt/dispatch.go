@@ -20,9 +20,9 @@ import (
 	"exegpt/internal/experiments"
 )
 
-// gridFlagSet bundles the grid-selection flags shared by `sweep` and
-// `dispatch`, so coordinator and worker processes resolve — and
-// fingerprint — the same grid from the same spellings.
+// gridFlagSet bundles the grid-selection flags of `sweep`, so
+// coordinator and worker processes resolve — and fingerprint — the
+// same grid from the same spellings.
 type gridFlagSet struct {
 	models   *string
 	gpus     *string
@@ -91,8 +91,8 @@ func (g *gridFlagSet) workerArgs(ctx *experiments.Context, workers int) []string
 }
 
 // dispatchFlagSet maps the dispatch.Options knobs onto flags, shared by
-// `sweep -mode dispatch/pull` and the `dispatch` serve mode so every
-// entry point tunes the same struct the same way.
+// `sweep -mode dispatch` and `-mode pull` so coordinator and workers
+// tune the same struct the same way.
 type dispatchFlagSet struct {
 	leaseTimeout   *time.Duration
 	leaseCells     *int
@@ -140,10 +140,9 @@ func (d *dispatchFlagSet) options() (dispatch.Options, error) {
 	return o, nil
 }
 
-// scaleFlagSet carries the supervised-fleet knobs shared by `sweep
-// -mode dispatch` and the `dispatch` serve mode. -scale-max 0 (the
-// default) disables supervision entirely: the fleet is the fixed
-// -dispatch-workers set, exactly as before.
+// scaleFlagSet carries the supervised-fleet knobs of `sweep -mode
+// dispatch`. -scale-max 0 (the default) disables supervision entirely:
+// the fleet is the fixed -dispatch-workers set.
 type scaleFlagSet struct {
 	min        *int
 	max        *int
@@ -180,14 +179,13 @@ func (s *scaleFlagSet) params(seed int64) (scaleParams, error) {
 	return p, nil
 }
 
-// config assembles a coordinator Config; stderrTail may be nil (no
-// locally captured worker stderr, e.g. the standalone serve mode).
-func coordConfig(fp string, cells int, opts dispatch.Options, stderrTail func(string) string) dispatch.Config {
+// coordConfig assembles a coordinator Config; a forked fleet attaches
+// its StderrTail once it is running.
+func coordConfig(fp string, cells int, opts dispatch.Options) dispatch.Config {
 	return dispatch.Config{
 		Fingerprint: fp,
 		Cells:       cells,
 		Options:     opts,
-		StderrTail:  stderrTail,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
@@ -331,7 +329,9 @@ func runPullWorker(ctx *experiments.Context, grid experiments.SweepGrid, fp, spo
 // runDispatch is `exegpt sweep -mode dispatch`: a work-stealing
 // coordinator — over a file spool or, with -http, over the HTTP
 // transport — plus its worker fleet: local pull-worker processes by
-// default, or one ssh-launched worker per -hosts entry.
+// default, one ssh-launched worker per -hosts entry, or none with
+// -dispatch-workers 0, where the operator attaches `sweep -mode pull`
+// workers by hand at any time during the sweep.
 func runDispatch(ctx *experiments.Context, grid experiments.SweepGrid, g *gridFlagSet,
 	fp, spoolDir, httpAddr, hosts, remoteBin string, workers int, opts dispatch.Options,
 	sc scaleParams, journalDir, jsonOut string) error {
@@ -340,7 +340,7 @@ func runDispatch(ctx *experiments.Context, grid experiments.SweepGrid, g *gridFl
 	// transports or workers: a resume that recovered every cell skips
 	// the fleet launch entirely.
 	cells := len(grid.Cells())
-	cfg := coordConfig(fp, cells, opts, nil)
+	cfg := coordConfig(fp, cells, opts)
 	j, err := openJournal(journalDir, fp, cells, opts, &cfg)
 	if err != nil {
 		return err
@@ -488,10 +488,11 @@ func runDispatch(ctx *experiments.Context, grid experiments.SweepGrid, g *gridFl
 		if sf, err = startSupervisedFleet(&cfg, bin, argv, sc, intr); err != nil {
 			return err
 		}
+	case workers == 0:
+		// Coordinator only: the operator attaches pull workers by hand.
+		fmt.Fprintf(os.Stderr, "sweep: coordinating %d cells (grid %.12s); attach workers with: exegpt sweep <grid flags> %s\n",
+			cells, fp, strings.Join(attachArgs("ID")[:4], " "))
 	default:
-		if workers < 1 {
-			return fmt.Errorf("-dispatch-workers %d < 1", workers)
-		}
 		bin, err := os.Executable()
 		if err != nil {
 			return err
@@ -548,152 +549,4 @@ func runDispatch(ctx *experiments.Context, grid experiments.SweepGrid, g *gridFl
 		fmt.Fprintf(os.Stderr, "sweep: note: worker failures tolerated by work stealing: %v\n", werr)
 	}
 	return printMerged(merged, grid, jsonOut)
-}
-
-// cmdDispatch is the serve mode: a standalone work-stealing coordinator
-// over a spool directory or an HTTP listener, for fleets whose workers
-// the operator launches and re-launches at will (`exegpt sweep -mode
-// pull -connect URL` / `-mode pull -spool DIR` per host, at any time
-// during the sweep). It evaluates nothing itself.
-func cmdDispatch(args []string) error {
-	fs := flag.NewFlagSet("dispatch", flag.ExitOnError)
-	newCtx := commonFlags(fs)
-	g := gridFlags(fs)
-	d := dispatchFlags(fs)
-	scf := scaleFlags(fs)
-	spoolDir := fs.String("spool", "", "serve over this spool directory shared with the pull workers")
-	httpAddr := fs.String("http", "", "serve the coordinator's HTTP API on this address (host:port; workers attach with sweep -mode pull -connect)")
-	journalDir := fs.String("journal", "", "journal every accepted result in this directory; rerunning with the same directory resumes an interrupted sweep")
-	jsonOut := fs.String("json", "", "write the merged sweep (rows, evals, frontiers) as JSON to this file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if (*spoolDir == "") == (*httpAddr == "") {
-		return fmt.Errorf("dispatch serves exactly one transport: give -spool DIR (file spool) or -http ADDR (HTTP API), not both")
-	}
-	opts, err := d.options()
-	if err != nil {
-		return err
-	}
-	ctx := newCtx()
-	sc, err := scf.params(ctx.Seed)
-	if err != nil {
-		return err
-	}
-	grid, err := g.build(ctx)
-	if err != nil {
-		return err
-	}
-	fp, err := ctx.GridFingerprint(grid)
-	if err != nil {
-		return err
-	}
-	cells := len(grid.Cells())
-	cfg := coordConfig(fp, cells, opts, nil)
-	j, err := openJournal(*journalDir, fp, cells, opts, &cfg)
-	if err != nil {
-		return err
-	}
-	if j != nil {
-		defer j.Close()
-	}
-	intr := installInterrupt(&cfg)
-	defer intr.Stop()
-
-	if sc.on() && ctx.ProfileCacheDir == "" {
-		// The supervised local fleet shares one profile cache so each
-		// (model, sub-cluster) profiles once across worker generations.
-		tmp, err := os.MkdirTemp("", "exegpt-profiles-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmp)
-		ctx.ProfileCacheDir = tmp
-	}
-
-	// superviseLocal forks a supervised local fleet attaching over the
-	// serve transport — with -scale-max the serve mode runs its own
-	// elastic workers alongside any the operator attaches by hand.
-	var sf *supervisedFleet
-	superviseLocal := func(connectURL string) error {
-		if !sc.on() || len(cfg.Completed) == cells {
-			return nil
-		}
-		bin, err := os.Executable()
-		if err != nil {
-			return err
-		}
-		budget := ctx.Workers
-		if budget <= 0 {
-			budget = runtime.GOMAXPROCS(0)
-		}
-		perWorker := budget / sc.max
-		if perWorker < 1 {
-			perWorker = 1
-		}
-		argv := func(id string) []string {
-			args := g.workerArgs(ctx, perWorker)
-			if connectURL != "" {
-				args = append(args, "-mode", "pull", "-connect", connectURL)
-			} else {
-				args = append(args, "-mode", "pull", "-spool", *spoolDir)
-			}
-			return append(args, "-worker-id", id,
-				"-lease-cells", strconv.Itoa(opts.LeaseCells),
-				"-dispatch-idle", opts.Idle.String(),
-				"-retry-base", opts.RetryBase.String(),
-				"-retry-max", opts.RetryMax.String())
-		}
-		fmt.Fprintf(os.Stderr, "dispatch: supervised fleet of %d..%d local pull workers (restart cap %d)\n",
-			sc.min, sc.max, sc.restartMax)
-		sf, err = startSupervisedFleet(&cfg, bin, argv, sc, intr)
-		return err
-	}
-	// finish drains the supervised fleet (if any) after the coordinator
-	// is done and folds the outcome into the run's.
-	finish := func(merged *distsweep.Merged, err error) error {
-		var werr error
-		if sf != nil {
-			werr = sf.Shutdown()
-		}
-		if err != nil {
-			resumeHint(err, *journalDir)
-			return err
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "dispatch: note: worker failures tolerated by work stealing: %v\n", werr)
-		}
-		return printMerged(merged, grid, *jsonOut)
-	}
-
-	if *httpAddr != "" {
-		hc, err := listenHTTP(*httpAddr)
-		if err != nil {
-			return err
-		}
-		if err := superviseLocal(hc.localURL()); err != nil {
-			return err
-		}
-		if cfg.Controller != nil {
-			hc.srv.AttachControl(cfg.Controller)
-		}
-		fmt.Fprintf(os.Stderr, "dispatch: coordinating %d cells on %s (grid %.12s; status: %s/v1/status)\n",
-			cells, hc.ln.Addr(), fp, hc.localURL())
-		return finish(hc.run(cfg))
-	}
-
-	sp, err := dispatch.NewSpool(*spoolDir)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "dispatch: coordinating %d cells on spool %s (grid %.12s)\n",
-		cells, *spoolDir, fp)
-	ct, err := sp.Coordinator()
-	if err != nil {
-		return err
-	}
-	if err := superviseLocal(""); err != nil {
-		return err
-	}
-	return finish(dispatch.Run(ct, cfg))
 }

@@ -13,13 +13,13 @@
 //	exegpt sweep   [flags]   grid-evaluate deployments x tasks; -mode
 //	                         selects the distribution role: single, or
 //	                         dispatch/pull (dynamic work stealing over a
-//	                         file spool or HTTP)
-//	exegpt dispatch [flags]  serve a work-stealing sweep coordinator over
-//	                         a -spool directory or a -http address
-//	                         (workers: sweep -mode pull)
+//	                         file spool or HTTP; -dispatch-workers 0 runs
+//	                         the coordinator alone for hand-attached
+//	                         pull workers)
 //	exegpt figures [flags]   regenerate paper figures (6-11)
 //	exegpt tables  [flags]   regenerate paper tables (1-7, cost)
-//	exegpt bench   [flags]   measure the Estimate/FindBest hot paths
+//
+// The hot-path measurements live in the Go benchmarks (`make bench`).
 //
 // Every subcommand accepts -seed, -workers, -requests, -quick and
 // -profile-cache; run `exegpt <command> -h` for the full flag list.
@@ -52,14 +52,10 @@ func main() {
 		err = cmdServe(args)
 	case "sweep":
 		err = cmdSweep(args)
-	case "dispatch":
-		err = cmdDispatch(args)
 	case "figures":
 		err = cmdFigures(args)
 	case "tables":
 		err = cmdTables(args)
-	case "bench":
-		err = cmdBench(args)
 	case "-h", "--help", "help":
 		usage()
 		return
@@ -89,15 +85,12 @@ Commands:
             -mode picks the distribution role: single (default), dispatch
             (work-stealing coordinator over a file -spool or an -http API)
             or pull (worker attaching via -spool or -connect URL);
-            -journal DIR makes a dispatch sweep crash-safe and resumable
-            (rerun with the same flags to pick it back up)
-  dispatch  serve a standalone work-stealing coordinator over a -spool
-            directory or an -http address; operators attach "exegpt sweep
-            -mode pull" workers at any time, from any reachable host;
-            -journal DIR journals accepted results for kill -9-safe resume
+            -dispatch-workers 0 forks no workers, so operators attach
+            "exegpt sweep -mode pull" workers at any time, from any
+            reachable host; -journal DIR makes a dispatch sweep crash-safe
+            and resumable (rerun with the same flags to pick it back up)
   figures   regenerate the paper's figures (6, 7, 8, 9, 10, 11)
   tables    regenerate the paper's tables (1-7) and the scheduling-cost study
-  bench     measure Estimate/s and FindBest wall time, write BENCH_estimate.json
 
 Run "exegpt <command> -h" for command flags.
 `)

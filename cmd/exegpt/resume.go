@@ -1,10 +1,10 @@
 package main
 
-// Crash-safety plumbing for the coordinator entry points: the -journal
-// flag's open/replay/resume logic and the SIGINT/SIGTERM graceful
-// drain. Both `exegpt sweep -mode dispatch` and `exegpt dispatch` wire
-// these in, so a coordinator killed mid-sweep — by the operator or by
-// the machine — restarts from its journal instead of from scratch.
+// Crash-safety plumbing for the `exegpt sweep -mode dispatch`
+// coordinator: the -journal flag's open/replay/resume logic and the
+// SIGINT/SIGTERM graceful drain, so a coordinator killed mid-sweep — by
+// the operator or by the machine — restarts from its journal instead of
+// from scratch.
 
 import (
 	"errors"

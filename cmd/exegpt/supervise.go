@@ -1,10 +1,9 @@
 package main
 
-// Supervised-fleet plumbing shared by `exegpt sweep -mode dispatch`
-// and the `exegpt dispatch` serve mode: with -scale-max set, the
-// coordinator's worker fleet is managed by a supervisor reconciliation
-// loop (internal/dispatch/supervisor) instead of being a fixed set —
-// crashed or excluded workers are replaced with capped backoff, the
+// Supervised-fleet plumbing for `exegpt sweep -mode dispatch`: with
+// -scale-max set, the coordinator's worker fleet is managed by a
+// supervisor reconciliation loop (internal/dispatch/supervisor)
+// instead of being a fixed set — crashed or excluded workers are replaced with capped backoff, the
 // fleet scales between -scale-min and -scale-max from queue depth, and
 // scale-downs drain gracefully through the coordinator.
 

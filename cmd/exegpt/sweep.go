@@ -36,7 +36,7 @@ func sweepFlags(fs *flag.FlagSet) *sweepFlagSet {
 		grid:            gridFlags(fs),
 		mode:            fs.String("mode", string(modeSingle), "distribution mode: single, dispatch or pull"),
 		jsonOut:         fs.String("json", "", "write the merged sweep (rows, evals, frontiers) as JSON to this file"),
-		dispatchWorkers: fs.Int("dispatch-workers", 2, "dispatch mode (no -hosts): how many local pull workers to fork"),
+		dispatchWorkers: fs.Int("dispatch-workers", 2, "dispatch mode (no -hosts): how many local pull workers to fork (0: none, workers attach by hand via -spool or -http)"),
 		hosts:           fs.String("hosts", "", "dispatch mode: comma-separated ssh hosts to launch one pull worker on each (needs a shared -spool path or a routable -http address)"),
 		remoteBin:       fs.String("remote-bin", "exegpt", "with -hosts: the exegpt binary path on the remote hosts"),
 		spool:           fs.String("spool", "", "file-spool directory for dispatch/pull modes (default in dispatch mode: a temp dir, removed after the merge)"),
@@ -60,6 +60,9 @@ func sweepFlags(fs *flag.FlagSet) *sweepFlagSet {
 //	                                      with -http ADDR)
 //	-mode dispatch -hosts a,b -spool DIR|-http HOST:PORT
 //	                                      same, one ssh worker per host
+//	-mode dispatch -dispatch-workers 0 -spool DIR|-http HOST:PORT
+//	                                      coordinator only: operators
+//	                                      attach pull workers by hand
 //	-mode pull     -spool DIR | -connect URL
 //	                                      pull worker: lease cells from
 //	                                      the coordinator until it says
@@ -100,6 +103,7 @@ func cmdSweep(args []string) error {
 	if err := validateSweepMode(m, sweepModeFlags{
 		hosts: *f.hosts, spool: *f.spool, http: *f.http, connect: *f.connect,
 		workerID: *f.workerID, journal: *f.journal, json: *f.jsonOut, scaleMax: sc.max,
+		workers: *f.dispatchWorkers,
 	}); err != nil {
 		return err
 	}

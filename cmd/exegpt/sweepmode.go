@@ -31,6 +31,7 @@ type sweepModeFlags struct {
 	journal  string
 	json     string
 	scaleMax int
+	workers  int // -dispatch-workers
 }
 
 // validateSweepMode rejects flag combinations the selected mode cannot
@@ -60,7 +61,19 @@ func validateSweepMode(m sweepMode, f sweepModeFlags) error {
 		if f.scaleMax > 0 && f.hosts != "" {
 			return fmt.Errorf("-scale-max supervises local workers; an ssh fleet (-hosts) is fixed — pick one")
 		}
-		return reject([2]string{"-connect", f.connect})
+		if err := reject([2]string{"-connect", f.connect}); err != nil {
+			return err
+		}
+		if f.workers < 0 {
+			return fmt.Errorf("-dispatch-workers %d < 0", f.workers)
+		}
+		// 0 forks no workers: unless -scale-max or -hosts supplies a
+		// fleet, hand-attached workers need a spool or an HTTP address
+		// they can reach, which a temp spool is not.
+		if f.workers == 0 && f.spool == "" && f.http == "" && f.scaleMax == 0 && f.hosts == "" {
+			return fmt.Errorf("-dispatch-workers 0 runs the coordinator alone: give -spool DIR or -http ADDR for the pull workers to attach to")
+		}
+		return nil
 	case modePull:
 		if (f.spool == "") == (f.connect == "") {
 			return fmt.Errorf("-mode pull attaches to exactly one coordinator: give -spool DIR (file spool) or -connect URL (HTTP API)")

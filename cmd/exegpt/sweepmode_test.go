@@ -67,10 +67,17 @@ func TestValidateSweepMode(t *testing.T) {
 		{name: "single with json", m: modeSingle, f: sweepModeFlags{json: "out.json"}},
 		{name: "single with connect", m: modeSingle, f: sweepModeFlags{connect: "http://x"}, wantErr: "does not use -connect"},
 		{name: "single with scale-max", m: modeSingle, f: sweepModeFlags{scaleMax: 3}, wantErr: "no fleet to scale"},
-		{name: "dispatch spool", m: modeDispatch, f: sweepModeFlags{spool: "/s"}},
+		{name: "dispatch spool", m: modeDispatch, f: sweepModeFlags{spool: "/s", workers: 2}},
 		{name: "dispatch http", m: modeDispatch, f: sweepModeFlags{http: ":8080", hosts: "a,b"}},
 		{name: "dispatch both transports", m: modeDispatch, f: sweepModeFlags{spool: "/s", http: ":8080"}, wantErr: "not both"},
 		{name: "dispatch with connect", m: modeDispatch, f: sweepModeFlags{connect: "http://x"}, wantErr: "does not use -connect"},
+		{name: "dispatch forked temp spool", m: modeDispatch, f: sweepModeFlags{workers: 2}},
+		{name: "dispatch no workers alone", m: modeDispatch, wantErr: "give -spool DIR or -http ADDR"},
+		{name: "dispatch negative workers", m: modeDispatch, f: sweepModeFlags{workers: -1, spool: "/s"}, wantErr: "-dispatch-workers -1 < 0"},
+		{name: "dispatch no workers spool", m: modeDispatch, f: sweepModeFlags{spool: "/s"}},
+		{name: "dispatch no workers http", m: modeDispatch, f: sweepModeFlags{http: ":8080"}},
+		{name: "dispatch no workers scale-max", m: modeDispatch, f: sweepModeFlags{scaleMax: 3}},
+		{name: "dispatch no workers hosts", m: modeDispatch, f: sweepModeFlags{hosts: "a,b"}},
 		{name: "pull spool", m: modePull, f: sweepModeFlags{spool: "/s", workerID: "w1"}},
 		{name: "pull connect", m: modePull, f: sweepModeFlags{connect: "http://x"}},
 		{name: "pull neither", m: modePull, wantErr: "exactly one coordinator"},

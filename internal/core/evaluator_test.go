@@ -334,19 +334,27 @@ func BenchmarkEstimateEvaluator(b *testing.B) {
 }
 
 // BenchmarkFindBestReference / BenchmarkFindBestEvaluator compare the
-// full Workers=1 search on the two paths (the committed BENCH_estimate
-// speedup claim, also exposed via `exegpt bench`).
-func benchFindBestPath(b *testing.B, disableMemo bool) {
+// full Workers=1 search on the two paths; the Evaluator memos persist
+// across iterations (steady state). BenchmarkFindBestEvaluatorCold
+// resets them before every search, isolating one from-scratch memoized
+// search. Reference/Evaluator is the steady-state speedup,
+// Reference/EvaluatorCold the cold one.
+func benchFindBestPath(b *testing.B, disableMemo, cold bool) {
 	s := detScheduler(b, 1)
 	s.DisableMemo = disableMemo
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if cold {
+			s.ResetEvaluators()
+		}
 		if _, err := s.FindBest(allPolicies, 20); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkFindBestReference(b *testing.B) { benchFindBestPath(b, true) }
+func BenchmarkFindBestReference(b *testing.B) { benchFindBestPath(b, true, false) }
 
-func BenchmarkFindBestEvaluator(b *testing.B) { benchFindBestPath(b, false) }
+func BenchmarkFindBestEvaluator(b *testing.B) { benchFindBestPath(b, false, false) }
+
+func BenchmarkFindBestEvaluatorCold(b *testing.B) { benchFindBestPath(b, false, true) }

@@ -45,6 +45,7 @@ func TestHubConformanceUnderChaos(t *testing.T) {
 	transporttest.Run(t, func(t *testing.T) *transporttest.Harness {
 		hub := dispatch.NewHub()
 		inj := chaostest.NewInjector(chaosFaults(1))
+		t.Cleanup(inj.Wait) // after the scenario's workers, before the transport's teardown
 		return &transporttest.Harness{
 			Coordinator: chaostest.Coordinator(hub, inj),
 			Worker: func(t *testing.T, id string) dispatch.WorkerTransport {
@@ -68,6 +69,7 @@ func TestSpoolConformanceUnderChaos(t *testing.T) {
 			t.Fatal(err)
 		}
 		inj := chaostest.NewInjector(chaosFaults(2))
+		t.Cleanup(inj.Wait) // after the scenario's workers, before the transport's teardown
 		return &transporttest.Harness{
 			Coordinator: chaostest.Coordinator(ct, inj),
 			Worker: func(t *testing.T, id string) dispatch.WorkerTransport {
@@ -96,6 +98,7 @@ func TestHTTPConformanceUnderChaos(t *testing.T) {
 		hs := httptest.NewServer(srv.Handler())
 		t.Cleanup(hs.Close)
 		inj := chaostest.NewInjector(chaosFaults(3))
+		t.Cleanup(inj.Wait) // after the scenario's workers, before the transport's teardown
 		return &transporttest.Harness{
 			Coordinator: chaostest.Coordinator(srv, inj),
 			Worker: func(t *testing.T, id string) dispatch.WorkerTransport {

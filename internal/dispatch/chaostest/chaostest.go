@@ -52,6 +52,8 @@ type Injector struct {
 	mu  sync.Mutex
 	rng *rand.Rand
 	f   Faults
+
+	delayed sync.WaitGroup // delayed sends not yet delivered
 }
 
 // NewInjector builds an injector with the given fault profile.
@@ -87,7 +89,9 @@ func (i *Injector) send(deliver func() error) error {
 		n = 2
 	}
 	if delay > 0 {
+		i.delayed.Add(1)
 		go func() {
+			defer i.delayed.Done()
 			time.Sleep(delay)
 			for k := 0; k < n; k++ {
 				deliver() // a delayed send's error has no one to return to
@@ -102,6 +106,12 @@ func (i *Injector) send(deliver func() error) error {
 	}
 	return nil
 }
+
+// Wait blocks until every delayed send has been delivered. Call it once
+// nothing sends through the injector any more and before the transport
+// is torn down, so a late delivery cannot land in a removed spool
+// directory or hit a closed server.
+func (i *Injector) Wait() { i.delayed.Wait() }
 
 // Coordinator wraps the coordinator side of a transport with fault
 // injection on its lease sends. Recv and Finish pass through; a

@@ -122,6 +122,33 @@ type runResult struct {
 	err error
 }
 
+// bgWorker is a worker loop running in its own goroutine.
+type bgWorker struct {
+	done chan struct{} // closed when the loop returns
+	err  error         // the loop's exit error; read after done closes
+}
+
+// goWorker starts run in a goroutine and joins it when the scenario
+// ends, failing the test on a worker error. The join is a t.Cleanup
+// registered after the harness was built, so it runs before the
+// harness's own cleanup (a spool's t.TempDir removal, an HTTP server's
+// Close): no worker still polls or writes the transport by then, even
+// when the scenario fails early.
+func goWorker(t *testing.T, run func() error) *bgWorker {
+	w := &bgWorker{done: make(chan struct{})}
+	go func() {
+		defer close(w.done)
+		w.err = run()
+	}()
+	t.Cleanup(func() {
+		<-w.done
+		if w.err != nil {
+			t.Errorf("worker exited with error: %v", w.err)
+		}
+	})
+	return w
+}
+
 // startCoord runs the coordinator in a goroutine.
 func startCoord(ct dispatch.Transport, cfg dispatch.Config) chan runResult {
 	out := make(chan runResult, 1)
@@ -181,7 +208,8 @@ func testGrantAndResult(t *testing.T, h *Harness) {
 	const fp, n = "fp-tt-grant", 6
 	res := startCoord(h.Coordinator, h.config(fp, n))
 	for _, id := range []string{"w1", "w2"} {
-		go pullWorker(id, fp, n).Run(h.Worker(t, id))
+		w, wt := pullWorker(id, fp, n), h.Worker(t, id)
+		goWorker(t, func() error { return w.Run(wt) })
 	}
 	requireIdentical(t, <-res, fp, n)
 }
@@ -199,7 +227,8 @@ func testExpiredLeaseRequeues(t *testing.T, h *Harness) {
 		t.Fatal("dead worker got no cells to abandon")
 	}
 	// Abandon the lease; only now attach the survivor.
-	go pullWorker("survivor", fp, n).Run(h.Worker(t, "survivor"))
+	w, wt := pullWorker("survivor", fp, n), h.Worker(t, "survivor")
+	goWorker(t, func() error { return w.Run(wt) })
 	requireIdentical(t, <-res, fp, n)
 }
 
@@ -211,7 +240,7 @@ func testDuplicateResults(t *testing.T, h *Harness) {
 	res := startCoord(h.Coordinator, h.config(fp, n))
 
 	wt := h.Worker(t, "dup")
-	go func() {
+	goWorker(t, func() error {
 		for seq := 1; ; seq++ {
 			// Re-send the request after a second of silence: a chaos
 			// wrapper may have dropped it or its reply.
@@ -224,7 +253,7 @@ func testDuplicateResults(t *testing.T, h *Harness) {
 				}
 			}
 			if l.Stop {
-				return
+				return nil
 			}
 			for _, c := range l.Cells {
 				env := distsweep.NewCellEnvelope(fp, n, fakeCellResult(c))
@@ -237,7 +266,7 @@ func testDuplicateResults(t *testing.T, h *Harness) {
 				time.Sleep(10 * time.Millisecond)
 			}
 		}
-	}()
+	})
 	requireIdentical(t, <-res, fp, n)
 }
 
@@ -248,15 +277,14 @@ func testStopPropagation(t *testing.T, h *Harness) {
 	const fp, n = "fp-tt-stop", 3
 	res := startCoord(h.Coordinator, h.config(fp, n))
 
-	w := pullWorker("w1", fp, n)
-	wDone := make(chan error, 1)
-	go func() { wDone <- w.Run(h.Worker(t, "w1")) }()
+	w, wt := pullWorker("w1", fp, n), h.Worker(t, "w1")
+	bg := goWorker(t, func() error { return w.Run(wt) })
 
 	requireIdentical(t, <-res, fp, n)
 	select {
-	case err := <-wDone:
-		if err != nil {
-			t.Fatalf("worker exited with error: %v", err)
+	case <-bg.done:
+		if bg.err != nil {
+			t.Fatalf("worker exited with error: %v", bg.err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("worker never observed Stop after the run completed")
@@ -297,6 +325,7 @@ func testCorruptFrame(t *testing.T, h *Harness) {
 	if err := h.Corrupt(); err != nil {
 		t.Fatalf("corrupt frame injection: %v", err)
 	}
-	go pullWorker("honest", fp, n).Run(h.Worker(t, "honest"))
+	w, wt := pullWorker("honest", fp, n), h.Worker(t, "honest")
+	goWorker(t, func() error { return w.Run(wt) })
 	requireIdentical(t, <-res, fp, n)
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"exegpt/internal/core"
 	"exegpt/internal/hw"
 	"exegpt/internal/model"
 	"exegpt/internal/sched"
@@ -369,5 +370,56 @@ func TestQuickSweepT511BConvQA2(t *testing.T) {
 	}
 	if ft == 0 {
 		t.Fatal("no FT rows in the (T5-11B, C2) sweep")
+	}
+}
+
+// TestTable2OPT13BSearchPathsAgree runs the schedule-search identity
+// checks on a full Table 2 deployment (OPT-13B on its A40 cluster, task
+// S, FT-derived bounds) instead of the core tests' shrunken search
+// space: the reference (DisableMemo) and memoized FindBest return
+// identical Results, Evals included, and one FindBestMany over the four
+// bounds selects exactly what per-bound FindBest does.
+func TestTable2OPT13BSearchPathsAgree(t *testing.T) {
+	dep, err := sched.DeploymentFor("OPT-13B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewContext().Deploy(dep.Model, dep.Cluster, dep.GPUs, workload.Summarization)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds, err := d.FTBounds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies := []sched.Policy{sched.RRA, sched.WAAC, sched.WAAM}
+	s := d.Sch
+	s.Workers = 1
+	want := make([]core.Result, len(bounds))
+	for i, b := range bounds {
+		s.DisableMemo = true
+		ref, err := s.FindBest(policies, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.DisableMemo = false
+		if want[i], err = s.FindBest(policies, b); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ref, want[i]) {
+			t.Fatalf("bound %v: memoized FindBest diverged from reference\n fast %+v\n ref  %+v", b, want[i], ref)
+		}
+	}
+	if !want[len(want)-1].Found {
+		t.Fatal("unbounded search found nothing; test is vacuous")
+	}
+	many, err := s.FindBestMany(policies, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range bounds {
+		if many[i].Found != want[i].Found || !reflect.DeepEqual(many[i].Best, want[i].Best) {
+			t.Fatalf("bound %v: FindBestMany picked %+v, per-bound FindBest %+v", b, many[i].Best, want[i].Best)
+		}
 	}
 }

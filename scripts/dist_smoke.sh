@@ -37,11 +37,12 @@ SCENARIOS=(
 rm -rf "$DIR" && mkdir -p "$DIR/profiles"
 PC=(-profile-cache "$DIR/profiles")
 
-# A file-spool coordinator plus two pull workers, one killed right after
-# launch so any leases it held requeue; the survivor steals the rest.
+# A coordinator-only file-spool sweep plus two hand-attached pull
+# workers, one killed right after launch so any leases it held requeue;
+# the survivor steals the rest.
 run_spool() {
-	$BIN dispatch $1 "${PC[@]}" -spool "$DIR/spool" -lease-timeout 3s \
-		-json "$DIR/spool.json" > "$DIR/spool.txt" &
+	$BIN sweep $1 "${PC[@]}" -mode dispatch -dispatch-workers 0 -spool "$DIR/spool" \
+		-lease-timeout 3s -json "$DIR/spool.json" > "$DIR/spool.txt" &
 	local coord=$!
 	$BIN sweep $1 "${PC[@]}" -mode pull -spool "$DIR/spool" -worker-id w1 &
 	local w1=$!
@@ -57,12 +58,13 @@ run_forked() {
 		-json "$DIR/forked.json" > "$DIR/forked.txt"
 }
 
-# An HTTP coordinator whose /v1/status must answer while the sweep runs,
-# then two workers attaching over TCP, one killed mid-sweep and replaced
-# by a late-attaching worker (elastic fleet).
+# A coordinator-only HTTP sweep whose /v1/status must answer while the
+# sweep runs, then two workers attaching over TCP, one killed mid-sweep
+# and replaced by a late-attaching worker (elastic fleet).
 run_http() {
 	local url=http://$HTTP_ADDR
-	$BIN dispatch $1 "${PC[@]}" -http $HTTP_ADDR -lease-timeout 3s -dispatch-idle 60s \
+	$BIN sweep $1 "${PC[@]}" -mode dispatch -dispatch-workers 0 -http $HTTP_ADDR \
+		-lease-timeout 3s -dispatch-idle 60s \
 		-json "$DIR/http.json" > "$DIR/http.txt" &
 	local coord=$!
 	# No worker has attached yet, so the sweep cannot have finished.
@@ -92,14 +94,14 @@ run_http_forked() {
 		-json "$DIR/http-forked.json" > "$DIR/http-forked.txt"
 }
 
-# A journaled HTTP coordinator is SIGKILLed mid-run (one of its workers
-# is too); a fresh coordinator replays the journal on the same address
-# and finishes the remaining cells with the surviving worker and one of
-# its own.
+# A journaled coordinator-only HTTP sweep is SIGKILLed mid-run (one of
+# its workers is too); a fresh coordinator replays the journal on the
+# same address and finishes the remaining cells with the surviving
+# worker and one of its own.
 run_resume() {
 	local url=http://$RESUME_ADDR
-	$BIN dispatch $1 "${PC[@]}" -http $RESUME_ADDR -journal "$DIR/journal" \
-		-lease-timeout 3s -dispatch-idle 60s > /dev/null &
+	$BIN sweep $1 "${PC[@]}" -mode dispatch -dispatch-workers 0 -http $RESUME_ADDR \
+		-journal "$DIR/journal" -lease-timeout 3s -dispatch-idle 60s > /dev/null &
 	local c1=$!
 	$BIN sweep $1 "${PC[@]}" -mode pull -connect $url -worker-id w1 &
 	local w1=$!
