@@ -104,6 +104,28 @@ func TestFigure6Shape(t *testing.T) {
 	}
 }
 
+// TestSpeedupKeysOnDeployment checks that two deployments of one model
+// (same task and bound) are compared each against its own FT row.
+func TestSpeedupKeysOnDeployment(t *testing.T) {
+	row := func(cluster string, gpus int, system string, tput float64) SweepRow {
+		return SweepRow{Model: "OPT-13B", Cluster: cluster, GPUs: gpus, Task: "S",
+			Bound: 10, System: system, Tput: tput, Feasible: true}
+	}
+	rows := []SweepRow{
+		row("A40", 4, "FT", 10), row("A40", 4, "ExeGPT-RRA", 20),
+		row("A100", 8, "FT", 100), row("A100", 8, "ExeGPT-RRA", 110),
+	}
+	if got := speedupVs(rows, "FT"); !reflect.DeepEqual(got, []float64{2, 1.1}) {
+		t.Fatalf("speedups %v, want [2 1.1]", got)
+	}
+	if got, want := GeoMeanSpeedup(rows), math.Sqrt(2.2); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("geo-mean %v, want %v", got, want)
+	}
+	if got := MaxSpeedup(rows); got != 2 {
+		t.Fatalf("max %v, want 2", got)
+	}
+}
+
 // Figure 7 shape: FT leads DSI/ORCA/vLLM for every task and bound.
 func TestFigure7Shape(t *testing.T) {
 	cells, err := quick().Figure7()

@@ -5,6 +5,9 @@
 // independent; only the memoized profile Table is shared, and that is
 // immutable once built. Results are reduced in grid order, so the
 // output is deterministic regardless of which worker finishes first.
+// Every §7 throughput figure is a view over the same per-cell
+// measurement (Deployment.measure): Figures 6 and 8 are sweeps, and
+// Figure 10 measures its real-dataset cells directly.
 //
 // The same cell list is the unit of multi-process distribution:
 // SweepCells evaluates any subset of cell indices, the work-stealing
@@ -272,29 +275,44 @@ func (c *Context) SweepCells(grid SweepGrid, indices []int) ([]CellResult, error
 // schedWorkers overrides the cell scheduler's pool size so the sweep
 // controls the total parallelism budget.
 func (c *Context) sweepCell(cl SweepCell, groups [][]sched.Policy, schedWorkers int) (CellResult, error) {
-	cr := CellResult{Cell: cl.Index}
 	dep, task := cl.Dep, cl.Task
 	d, err := c.Deploy(dep.Model, dep.Cluster, dep.GPUs, task)
 	if err != nil {
-		return cr, err
+		return CellResult{}, err
 	}
 	d.Sch.Workers = schedWorkers
 	bounds, err := d.FTBounds()
 	if err != nil {
-		return cr, err
+		return CellResult{}, err
 	}
 	if c.Quick {
 		bounds = []float64{bounds[1], bounds[3]}
 	}
 	reqs, err := c.RequestStream(task, 0)
 	if err != nil {
-		return cr, err
+		return CellResult{}, err
 	}
-	// Schedule each policy group across every bound in one amortized
-	// multi-bound search before assembling rows in per-bound order.
-	// Each search leaves its eval count and merged Pareto frontier on
-	// the scheduler; the cell carries both so distributed merges can be
-	// verified against (and aggregated like) a single-process run.
+	base := SweepRow{
+		Model: dep.Model.Name, Cluster: dep.Cluster.Name,
+		GPUs: dep.GPUs, Task: task.ID,
+	}
+	cr, err := d.measure(base, groups, bounds, reqs)
+	cr.Cell = cl.Index
+	return cr, err
+}
+
+// measure is the §7 throughput measurement shared by every sweep cell
+// and figure: it runs FT and each ExeGPT policy group at every bound on
+// reqs and returns the rows (base with Bound, System and Tput filled
+// in) in bound-major order, FT first, then one row per group.
+//
+// Each group is scheduled across every bound in one amortized
+// multi-bound search before rows are assembled. Each search leaves its
+// eval count and merged Pareto frontier on the scheduler; the result
+// carries both so distributed merges can be verified against (and
+// aggregated like) a single-process run.
+func (d *Deployment) measure(base SweepRow, groups [][]sched.Policy, bounds []float64, reqs []workload.Request) (CellResult, error) {
+	var cr CellResult
 	outsByGroup := make([][]RunOutcome, len(groups))
 	for gi, group := range groups {
 		// WAA needs a dedicated decode side; groups that cannot apply
@@ -307,13 +325,9 @@ func (c *Context) sweepCell(cl SweepCell, groups [][]sched.Policy, schedWorkers 
 		outsByGroup[gi] = outs
 		cr.Evals += d.Sch.Evals
 		cr.Frontiers = append(cr.Frontiers, GroupFrontier{
-			Model: dep.Model.Name, Cluster: dep.Cluster.Name, GPUs: dep.GPUs,
-			Task: task.ID, Group: policyGroupName(group), Frontier: d.Sch.Frontier,
+			Model: base.Model, Cluster: base.Cluster, GPUs: base.GPUs,
+			Task: base.Task, Group: policyGroupName(group), Frontier: d.Sch.Frontier,
 		})
-	}
-	base := SweepRow{
-		Model: dep.Model.Name, Cluster: dep.Cluster.Name,
-		GPUs: dep.GPUs, Task: task.ID,
 	}
 	for bi, bound := range bounds {
 		ftTput, err := d.RunBaseline(baselines.FT, bound, reqs)
