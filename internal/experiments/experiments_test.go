@@ -208,6 +208,76 @@ func TestFigure10Shape(t *testing.T) {
 	}
 }
 
+// TestFigure10SchedulesOnObservedDists checks that Figure 10's estimate
+// path is a simulator built from the 10% sample's observed
+// distributions: its search and estimates match a scheduler built
+// directly from them, while FT keeps the task's nominal distributions.
+func TestFigure10SchedulesOnObservedDists(t *testing.T) {
+	c := quick()
+	dep := sched.Deployment{Model: model.OPT13B, Cluster: hw.A40Cluster, GPUs: 4}
+	task := workload.RealDatasets[0]
+	d, _, err := c.realDatasetDeployment(dep, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := workload.NewGenerator(task, c.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, _ := workload.Split(g.Batch(c.Requests*10/9), 0.1)
+	inObs, outObs, err := workload.EstimateDists(est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := core.NewSimulator(d.Model, d.Cluster, d.Prof, inObs, outObs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.NewScheduler(sim)
+	want.MaxBatch, want.MaxND = d.Sch.MaxBatch, d.Sch.MaxND
+	policies := []sched.Policy{sched.RRA, sched.WAAC, sched.WAAM}
+	for _, bound := range []float64{15, math.Inf(1)} {
+		gotRes, err := d.Sch.FindBest(policies, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRes, err := want.FindBest(policies, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !wantRes.Found {
+			t.Fatalf("bound %v: no schedule found; test is vacuous", bound)
+		}
+		if !reflect.DeepEqual(gotRes, wantRes) {
+			t.Fatalf("bound %v: Figure 10 search picked %+v, observed-distribution simulator %+v",
+				bound, gotRes.Best, wantRes.Best)
+		}
+		cfg := wantRes.Best.Config
+		ref, err := sim.Estimate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, e := range map[string]func(sched.Config) (core.Estimate, error){
+			"Sim": d.Sim.Estimate, "Eval": d.Eval.Estimate,
+		} {
+			got, err := e(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("bound %v: %s estimate of %v diverged:\n got  %+v\n want %+v", bound, name, cfg, got, ref)
+			}
+		}
+	}
+	in, out, err := task.Dists()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.In.Mean() != in.Mean() || d.Out.Mean() != out.Mean() {
+		t.Fatal("FT must derive its bounds from the task's nominal distributions")
+	}
+}
+
 // Figure 11 shape: when the average output length grows, the stale
 // schedule violates the latency bound; when it shrinks, the re-optimized
 // schedule wins while meeting the bound.

@@ -260,23 +260,10 @@ func (c *Context) Figure10() ([]SweepRow, error) {
 	}
 	for _, dep := range deps {
 		for _, task := range datasets {
-			// Draw the full stream first, split 10/90.
-			g, err := workload.NewGenerator(task, c.Seed)
+			d, eval, err := c.realDatasetDeployment(dep, task)
 			if err != nil {
 				return nil, err
 			}
-			all := g.Batch(c.Requests * 10 / 9)
-			est, eval := workload.Split(all, 0.1)
-			inObs, outObs, err := workload.EstimateDists(est)
-			if err != nil {
-				return nil, err
-			}
-			d, err := c.Deploy(dep.Model, dep.Cluster, dep.GPUs, task)
-			if err != nil {
-				return nil, err
-			}
-			// Schedule against the observed distributions.
-			d.Sim.In, d.Sim.Out = inObs, outObs
 			bounds, err := d.FTBounds()
 			if err != nil {
 				return nil, err
@@ -290,6 +277,34 @@ func (c *Context) Figure10() ([]SweepRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// realDatasetDeployment draws task's request stream and splits it 10/90
+// (§7.5). The returned deployment schedules against the distributions
+// observed in the 10% sample: its estimate path (Sim, Sch, Eval) is
+// rebuilt around them, while In and Out stay the task's nominal
+// distributions, from which FT derives its bounds and sizes its
+// batches. The other 90% is returned as the evaluation stream.
+func (c *Context) realDatasetDeployment(dep sched.Deployment, task workload.Task) (*Deployment, []workload.Request, error) {
+	g, err := workload.NewGenerator(task, c.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	est, eval := workload.Split(g.Batch(c.Requests*10/9), 0.1)
+	inObs, outObs, err := workload.EstimateDists(est)
+	if err != nil {
+		return nil, nil, err
+	}
+	d, err := c.Deploy(dep.Model, dep.Cluster, dep.GPUs, task)
+	if err != nil {
+		return nil, nil, err
+	}
+	obs, err := d.Redeploy(inObs, outObs)
+	if err != nil {
+		return nil, nil, err
+	}
+	d.Sim, d.Sch, d.Eval = obs.Sim, obs.Sch, obs.Eval
+	return d, eval, nil
 }
 
 // ShiftCell is one bar group of Figure 11: the throughput of the
