@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"exegpt/internal/baselines"
-	"exegpt/internal/core"
 	"exegpt/internal/hw"
 	"exegpt/internal/model"
 	"exegpt/internal/sched"
@@ -76,12 +75,9 @@ func (c *Context) Figure6() ([]SweepRow, error) {
 		{Model: model.GPT339B, Cluster: hw.A40Cluster, GPUs: 16},
 		{Model: model.GPT3101B, Cluster: hw.A100Cluster, GPUs: 16},
 	}
-	if c.Quick {
-		deps = deps[1:2] // OPT-13B only
-	}
 	tasks := []workload.Task{workload.Summarization, workload.Translation, workload.ConvQA1}
 	if c.Quick {
-		tasks = tasks[:2]
+		deps, tasks = deps[1:2], tasks[:2] // OPT-13B on S and T
 	}
 	return c.Sweep(SweepGrid{Deployments: deps, Tasks: tasks, Workers: c.Workers})
 }
@@ -135,12 +131,9 @@ func (c *Context) Figure8() ([]SweepRow, error) {
 		{Model: model.GPT3175B, Cluster: hw.A100Cluster, GPUs: 16},
 		{Model: model.GPT3341B, Cluster: hw.A40Cluster, GPUs: 48},
 	}
-	if c.Quick {
-		deps = deps[:1]
-	}
 	tasks := []workload.Task{workload.CodeGeneration, workload.ConvQA1, workload.ConvQA2}
 	if c.Quick {
-		tasks = tasks[:1]
+		deps, tasks = deps[:1], tasks[:1]
 	}
 	return c.Sweep(SweepGrid{
 		Deployments: deps, Tasks: tasks,
@@ -251,12 +244,9 @@ func (c *Context) Figure10() ([]SweepRow, error) {
 		{Model: model.OPT13B, Cluster: hw.A40Cluster, GPUs: 4},
 		{Model: model.GPT339B, Cluster: hw.A40Cluster, GPUs: 16},
 	}
-	if c.Quick {
-		deps = deps[:1]
-	}
 	datasets := workload.RealDatasets
 	if c.Quick {
-		datasets = datasets[:1]
+		deps, datasets = deps[:1], datasets[:1]
 	}
 	for _, dep := range deps {
 		for _, task := range datasets {
@@ -408,8 +398,7 @@ func (c *Context) Figure11() ([]ShiftCell, error) {
 	var cells []ShiftCell
 	for _, v := range variants {
 		// Sample evaluation requests from the shifted distribution.
-		shifted := task
-		reqs, err := shiftedRequests(c, shifted, v.out)
+		reqs, err := shiftedRequests(c, task, v.out)
 		if err != nil {
 			return nil, err
 		}
@@ -421,17 +410,11 @@ func (c *Context) Figure11() ([]ShiftCell, error) {
 			p99 = staleRun.Stats.P99Lat
 		}
 		// Optimal: re-schedule for the shifted distribution.
-		simShift, err := core.NewSimulator(d.Model, d.Cluster, d.Prof, d.In, v.out)
+		shifted, err := d.Redeploy(d.In, v.out)
 		if err != nil {
 			return nil, err
 		}
-		schShift := core.NewScheduler(simShift)
-		schShift.Workers = c.Workers
-		if c.Quick {
-			schShift.MaxBatch = 512
-			schShift.MaxND = 32
-		}
-		opt, err := schShift.FindBest([]sched.Policy{sched.WAAC, sched.WAAM}, bound)
+		opt, err := shifted.Sch.FindBest([]sched.Policy{sched.WAAC, sched.WAAM}, bound)
 		if err != nil {
 			return nil, err
 		}
