@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -183,15 +184,34 @@ func startCoord(ct dispatch.Transport, cfg dispatch.Config) chan runResult {
 	return out
 }
 
-func startWorker(id, fp string, n int, wt dispatch.WorkerTransport) {
+// startWorker runs a pull worker in the background and returns a stop
+// function that drains the worker and joins it, failing the test on a
+// worker error. Stop is idempotent and also runs as a t.Cleanup, which
+// comes before the phases' transport teardown. Draining matters for a
+// phase-1 worker: its coordinator crashed and never sends Stop.
+func startWorker(t *testing.T, id, fp string, n int, wt dispatch.WorkerTransport) (stop func()) {
+	drain := make(chan struct{})
 	w := &dispatch.Worker{
 		ID: id, Fingerprint: fp, Cells: n,
 		Heartbeat: 30 * time.Millisecond,
 		Poll:      10 * time.Millisecond,
 		Idle:      30 * time.Second,
+		Drain:     drain,
 		Eval:      func(c int) (experiments.CellResult, error) { return fakeCellResult(c), nil },
 	}
-	go w.Run(wt)
+	done := make(chan error, 1)
+	go func() { done <- w.Run(wt) }()
+	var once sync.Once
+	stop = func() {
+		once.Do(func() {
+			close(drain)
+			if err := <-done; err != nil {
+				t.Errorf("worker %s exited with error: %v", id, err)
+			}
+		})
+	}
+	t.Cleanup(stop)
+	return stop
 }
 
 // takeLease requests one lease by hand, re-sending through injected
@@ -310,7 +330,7 @@ func testKillResume(t *testing.T, newPhase func(t *testing.T) *phase,
 	if l := takeLease(t, chaostest.Worker(dead, inj), "deadbeat"); len(l.Cells) == 0 {
 		t.Fatal("deadbeat got no cells to abandon")
 	}
-	startWorker("w1", fp, n, chaostest.Worker(p1.attach(t, "w1"), inj))
+	stopW1 := startWorker(t, "w1", fp, n, chaostest.Worker(p1.attach(t, "w1"), inj))
 
 	r1 := <-res1
 	if !errors.Is(r1.err, chaostest.ErrCrash) {
@@ -355,9 +375,14 @@ func testKillResume(t *testing.T, newPhase func(t *testing.T) *phase,
 	cfg2.Completed = j2.Cells()
 	cfg2.Exclusions = j2.Exclusions()
 	res2 := startCoord(chaostest.Coordinator(p2.coord, inj), cfg2)
-	startWorker("w2", fp, n, chaostest.Worker(p2.attach(t, "w2"), inj))
+	stopW2 := startWorker(t, "w2", fp, n, chaostest.Worker(p2.attach(t, "w2"), inj))
 
 	r2 := <-res2
+	// Join both workers, then their delayed sends, while both phases'
+	// transports are still up.
+	stopW1()
+	stopW2()
+	inj.Wait()
 	if r2.err != nil {
 		t.Fatalf("phase 2: %v", r2.err)
 	}
