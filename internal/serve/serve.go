@@ -106,6 +106,38 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Ceilings on the size of one run, checked before anything runs: every
+// window is a loop step with its own stats, and every arrival is a
+// request held in the engine's backlog, so a run past either ceiling
+// exhausts memory or never ends. Realistic runs sit orders of
+// magnitude below both (300 s at 100 req/s is 300 windows and 3e4
+// arrivals).
+const (
+	maxWindows  = 1e6
+	maxArrivals = 1e7
+)
+
+// checkSize rejects a run whose window count (Duration/Window) or
+// expected arrival count (Rate×Duration, with the step kind's second
+// rate after StepAt) exceeds its ceiling, naming the field. It runs on
+// defaulted options, so zero fields are checked at their defaults. The
+// comparisons are negated so that NaN is rejected too.
+func (o Options) checkSize() error {
+	if w := o.Duration / o.Window; !(w <= maxWindows) {
+		return fmt.Errorf("serve: Window %v over Duration %v gives %g windows, more than %g",
+			o.Window, o.Duration, w, float64(maxWindows))
+	}
+	arrivals := o.Rate * o.Duration
+	if o.Arrival == "step" && o.Duration > o.StepAt {
+		arrivals += o.Rate * (o.StepFactor - 1) * (o.Duration - o.StepAt)
+	}
+	if !(arrivals <= maxArrivals) {
+		return fmt.Errorf("serve: Rate %v over Duration %v expects %g arrivals, more than %g",
+			o.Rate, o.Duration, arrivals, float64(maxArrivals))
+	}
+	return nil
+}
+
 // ScheduleInfo is a serializable summary of one selected schedule.
 type ScheduleInfo struct {
 	Policy  string  `json:"policy"`
@@ -262,6 +294,9 @@ func Run(dep *experiments.Deployment, opts Options) (*Report, error) {
 	}
 	proc, err := NewProcess(opts.Arrival, opts.Rate, opts.Seed, opts.StepAt, opts.StepFactor)
 	if err != nil {
+		return nil, err
+	}
+	if err := opts.checkSize(); err != nil {
 		return nil, err
 	}
 	gen, err := workload.NewGenerator(dep.Task, opts.Seed+1)

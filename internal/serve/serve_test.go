@@ -208,3 +208,35 @@ func TestServeRejectsBadOptions(t *testing.T) {
 		t.Fatal("unknown arrival kind accepted")
 	}
 }
+
+// TestServeRejectsOversizedRuns: a run with too many windows or too
+// many expected arrivals is rejected up front, naming the field. The
+// first two cases once exhausted memory and hung. The deployment is
+// empty, so that without the check Run fails on it before the first
+// arrival: these runs can never start here.
+func TestServeRejectsOversizedRuns(t *testing.T) {
+	for _, c := range []struct {
+		opts  Options
+		field string
+	}{
+		{Options{Rate: 1, Duration: 1, Window: 1e-9}, "Window"},
+		{Options{Rate: 1e9, Duration: 1}, "Rate"},
+		{Options{Arrival: "step", Rate: 1, StepAt: 1, StepFactor: 1e8, Duration: 2}, "Rate"},
+	} {
+		_, err := Run(&experiments.Deployment{}, c.opts)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: got %v, want an error naming %s", c.opts, err, c.field)
+		}
+	}
+	// Zero fields keep their defaults, and runs the size of the
+	// benchmark's serve workloads pass.
+	for _, o := range []Options{
+		{Rate: 100, Duration: 3000},
+		{Arrival: "mmpp", Rate: 25, Duration: 12000, SLO: 20},
+		stepOpts(),
+	} {
+		if err := o.withDefaults().checkSize(); err != nil {
+			t.Errorf("%+v rejected: %v", o, err)
+		}
+	}
+}
