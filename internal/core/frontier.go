@@ -8,8 +8,9 @@
 // the explored region with a single lookup, which is what lets
 // FindBestMany reuse one branch enumeration across a whole ascending
 // bound sweep. The frontier is also a compact, JSON-serializable
-// summary of a search, suitable as the per-shard result of a future
-// multi-process sweep (see ROADMAP).
+// summary of a search: every sweep cell carries its policy groups'
+// frontiers, and internal/distsweep folds them per deployment across
+// cells, whichever worker process evaluated them.
 package core
 
 import (
@@ -121,8 +122,8 @@ func (f *Frontier) BestUnder(lbound float64) (Estimate, bool) {
 }
 
 // Merge folds every point of other into f. Merging per-branch (or
-// per-shard) frontiers in canonical order yields the same frontier
-// regardless of which worker discovered which point.
+// per-cell) frontiers yields the same frontier regardless of which
+// worker discovered which point, and in any merge order.
 func (f *Frontier) Merge(other *Frontier) {
 	for i := range other.Points {
 		f.Add(&other.Points[i].Est)

@@ -1,7 +1,7 @@
-// Property tests for Frontier.Merge and its JSON round trip: the shard
-// coordinator (internal/distsweep) folds per-shard frontiers in
-// whatever order the envelopes arrive, after a marshal-unmarshal cycle,
-// so merge must behave as a set union — commutative, associative,
+// Property tests for Frontier.Merge and its JSON round trip: the sweep
+// fold (internal/distsweep) merges per-cell frontiers in whatever order
+// the dispatched cells arrive, after a marshal-unmarshal cycle, so
+// merge must behave as a set union — commutative, associative,
 // idempotent — and serialization must not change any BestUnder answer.
 package core
 

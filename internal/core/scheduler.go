@@ -120,8 +120,8 @@ type Scheduler struct {
 	// Frontier is the merged latency→throughput Pareto frontier
 	// discovered by the last FindBestMany call (canonical branch merge
 	// order, so it is deterministic across worker counts). It is
-	// JSON-serializable, which makes it a natural per-shard result for
-	// future multi-process sweep sharding.
+	// JSON-serializable: sweep cells carry it as their per-group
+	// frontier (experiments.GroupFrontier).
 	Frontier Frontier
 
 	// evs are the per-worker Evaluators, sized by ensureEvals at the

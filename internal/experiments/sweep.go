@@ -301,10 +301,10 @@ func (c *Context) sweepCell(cl SweepCell, groups [][]sched.Policy, schedWorkers 
 	return cr, err
 }
 
-// measure is the §7 throughput measurement shared by every sweep cell
-// and figure: it runs FT and each ExeGPT policy group at every bound on
-// reqs and returns the rows (base with Bound, System and Tput filled
-// in) in bound-major order, FT first, then one row per group.
+// measure is the §7 throughput measurement behind every sweep cell and
+// Figures 6, 8 and 10: it runs FT and each ExeGPT policy group at every
+// bound on reqs and returns the rows (base with Bound, System and Tput
+// filled in) in bound-major order, FT first, then one row per group.
 //
 // Each group is scheduled across every bound in one amortized
 // multi-bound search before rows are assembled. Each search leaves its
