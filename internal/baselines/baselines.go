@@ -130,21 +130,9 @@ func (e *Engine) TP() int { return e.tp }
 // PPStages returns the pipeline depth.
 func (e *Engine) PPStages() int { return len(e.stages) }
 
-func linkClass(s sched.Stage) profile.LinkClass {
-	if s.CrossNode {
-		return profile.InterNode
-	}
-	return profile.IntraNode
-}
-
-func (e *Engine) ppClass(from sched.Stage) profile.LinkClass {
-	last := from.FirstRank + from.TP - 1
-	next := (last + 1) % e.Cluster.TotalGPUs()
-	if e.Cluster.NodeOf(last) != e.Cluster.NodeOf(next) {
-		return profile.InterNode
-	}
-	return profile.IntraNode
-}
+// maxInlineStages sizes the stack buffer the per-iteration stage times
+// live in; deeper pipelines fall back to the heap.
+const maxInlineStages = 16
 
 // encTime returns the pipelined encode time of a batch with the given
 // total prompt tokens, using microBatches encode micro-batches.
@@ -156,29 +144,21 @@ func (e *Engine) encTime(tokens int, meanSeq float64, microBatches int) (float64
 	if perMicro < 1 {
 		perMicro = 1
 	}
-	var sum, max float64
+	scale := 1.0
+	if e.System == ORCA || e.System == VLLM {
+		scale = vllmKernelFactor
+	}
+	c := sched.StageCost{Prof: e.Prof, Cluster: e.Cluster}
+	var buf [maxInlineStages]float64
+	times := buf[:0]
 	for _, st := range e.stages {
-		layer, err := e.Prof.EncodeLayer(perMicro, meanSeq, st.TP, linkClass(st))
+		t, err := c.Enc(st, perMicro, meanSeq, scale)
 		if err != nil {
 			return 0, err
 		}
-		if e.System == ORCA || e.System == VLLM {
-			layer *= vllmKernelFactor
-		}
-		send, err := e.Prof.PPSend(perMicro, e.ppClass(st))
-		if err != nil {
-			return 0, err
-		}
-		t := float64(st.EncLayers)*layer + send
-		sum += t
-		if t > max {
-			max = t
-		}
+		times = append(times, t)
 	}
-	if p := float64(microBatches) * max; p > sum {
-		return p, nil
-	}
-	return sum, nil
+	return sched.PipelinePeriod(times, microBatches), nil
 }
 
 // decIterTime returns one decode-iteration period for the batch, with
@@ -191,32 +171,24 @@ func (e *Engine) decIterTime(batch int, ctx float64, microBatches int) (float64,
 	if per < 1 {
 		per = 1
 	}
-	var sum, max float64
+	scale := 1.0
+	switch {
+	case e.System == DSI && per < 32:
+		scale = dsiSmallBatchBoost
+	case e.System == ORCA || e.System == VLLM:
+		scale = vllmKernelFactor
+	}
+	c := sched.StageCost{Prof: e.Prof, Cluster: e.Cluster}
+	var buf [maxInlineStages]float64
+	times := buf[:0]
 	for _, st := range e.stages {
-		layer, err := e.Prof.DecodeLayer(per, ctx, st.TP, linkClass(st))
+		t, err := c.Dec(st, per, ctx, scale)
 		if err != nil {
 			return 0, err
 		}
-		if e.System == DSI && per < 32 {
-			layer *= dsiSmallBatchBoost
-		}
-		if e.System == ORCA || e.System == VLLM {
-			layer *= vllmKernelFactor
-		}
-		send, err := e.Prof.PPSend(per, e.ppClass(st))
-		if err != nil {
-			return 0, err
-		}
-		t := float64(st.DecLayers)*layer + send
-		sum += t
-		if t > max {
-			max = t
-		}
+		times = append(times, t)
 	}
-	period := sum
-	if p := float64(microBatches) * max; p > period {
-		period = p
-	}
+	period := sched.PipelinePeriod(times, microBatches)
 	// ORCA is proprietary; the paper evaluates it through vLLM's
 	// iteration-level scheduling mode (§7.1), so both carry the vLLM
 	// executor overhead: a fixed engine cost plus a per-sequence cost

@@ -236,7 +236,7 @@ func (e *Evaluator) rraEncPhase(ae *allocEntry, microTokens int) (float64, error
 		}
 		encTimes[i] = t
 	}
-	v := pipelinePeriod(encTimes, rraMicroBatches)
+	v := sched.PipelinePeriod(encTimes, rraMicroBatches)
 	ae.encPhaseByTokens[microTokens] = v
 	return v, nil
 }
@@ -255,7 +255,7 @@ func (e *Evaluator) rraDecIter(ae *allocEntry, micro int) (float64, error) {
 		}
 		decTimes[i] = t
 	}
-	v := pipelinePeriod(decTimes, rraMicroBatches)
+	v := sched.PipelinePeriod(decTimes, rraMicroBatches)
 	ae.iterByMicro[micro] = v
 	return v, nil
 }
@@ -354,7 +354,7 @@ func (e *Evaluator) waaDecSide(we *waaEntry, micro, bm int) (waaDec, error) {
 		}
 		decTimes[i] = t
 	}
-	v := waaDec{iter: pipelinePeriod(decTimes, bm), traversal: traversal(decTimes)}
+	v := waaDec{iter: sched.PipelinePeriod(decTimes, bm), traversal: traversal(decTimes)}
 	we.decByKey[k] = v
 	return v, nil
 }

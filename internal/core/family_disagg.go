@@ -74,7 +74,7 @@ func (s *Simulator) estimateDisagg(cfg sched.Config) (Estimate, error) {
 			return Estimate{}, err
 		}
 	}
-	decIter := pipelinePeriod(decTimes, bm)
+	decIter := sched.PipelinePeriod(decTimes, bm)
 	decTraversal := traversal(decTimes)
 
 	// Steady-state period: the disaggregated cache handover is a direct

@@ -113,79 +113,26 @@ func infeasible(cfg sched.Config, reason string) Estimate {
 		Throughput: 0, Latency: math.Inf(1)}
 }
 
-// linkClass returns the collective link class for a stage.
-func linkClass(s sched.Stage) profile.LinkClass {
-	if s.CrossNode {
-		return profile.InterNode
-	}
-	return profile.IntraNode
-}
-
-// ppClass returns the link class between consecutive stages; adjacent
-// rank blocks may span nodes, approximated by the from-stage boundary.
-func (s *Simulator) ppClass(from sched.Stage) profile.LinkClass {
-	last := from.FirstRank + from.TP - 1
-	next := (last + 1) % s.Cluster.TotalGPUs()
-	if s.Cluster.NodeOf(last) != s.Cluster.NodeOf(next) {
-		return profile.InterNode
-	}
-	return profile.IntraNode
-}
-
 // encStageTime returns one stage's encoding time for a batch with
-// totalTokens prompt tokens, plus the pipeline handover.
+// totalTokens prompt tokens, plus the pipeline handover; a stage with
+// no encoder layers or no tokens costs nothing.
 func (s *Simulator) encStageTime(st sched.Stage, totalTokens int, meanSeq float64) (float64, error) {
 	if st.EncLayers == 0 || totalTokens == 0 {
 		return 0, nil
 	}
-	layer, err := s.Profile.EncodeLayer(totalTokens, meanSeq, st.TP, linkClass(st))
-	if err != nil {
-		return 0, err
-	}
-	send, err := s.Profile.PPSend(totalTokens, s.ppClass(st))
-	if err != nil {
-		return 0, err
-	}
-	return float64(st.EncLayers)*layer + send, nil
+	c := sched.StageCost{Prof: s.Profile, Cluster: s.Cluster}
+	return c.Enc(st, totalTokens, meanSeq, 1)
 }
 
 // decStageTime returns one stage's decode-iteration time for batch
-// queries with mean attention context ctx.
+// queries with mean attention context ctx; a stage with no decoder
+// layers or an empty batch costs nothing.
 func (s *Simulator) decStageTime(st sched.Stage, batch int, ctx float64) (float64, error) {
 	if st.DecLayers == 0 || batch == 0 {
 		return 0, nil
 	}
-	layer, err := s.Profile.DecodeLayer(batch, ctx, st.TP, linkClass(st))
-	if err != nil {
-		return 0, err
-	}
-	send, err := s.Profile.PPSend(batch, s.ppClass(st))
-	if err != nil {
-		return 0, err
-	}
-	return float64(st.DecLayers)*layer + send, nil
-}
-
-// pipelinePeriod returns the steady-state period of one autoregressive
-// iteration over the stage times when m micro-batches are in flight:
-// max(Σ t_s, m * max_s t_s). With m=1 the pipeline serializes to the
-// traversal (Figure 4(b)); more micro-batches overlap stages
-// (Figure 4(c)) at the cost of per-micro-batch efficiency.
-func pipelinePeriod(stageTimes []float64, m int) float64 {
-	if m < 1 {
-		m = 1
-	}
-	var sum, max float64
-	for _, t := range stageTimes {
-		sum += t
-		if t > max {
-			max = t
-		}
-	}
-	if p := float64(m) * max; p > sum {
-		return p
-	}
-	return sum
+	c := sched.StageCost{Prof: s.Profile, Cluster: s.Cluster}
+	return c.Dec(st, batch, ctx, 1)
 }
 
 // traversal returns Σ t_s: the time one token takes through the
@@ -279,7 +226,7 @@ func (s *Simulator) estimateRRA(cfg sched.Config) (Estimate, error) {
 			return Estimate{}, err
 		}
 	}
-	encPhase := pipelinePeriod(encTimes, rraMicroBatches)
+	encPhase := sched.PipelinePeriod(encTimes, rraMicroBatches)
 
 	// Decoding iterations u = 1..ND with decaying active batches.
 	ctx := s.meanCtx()
@@ -300,7 +247,7 @@ func (s *Simulator) estimateRRA(cfg sched.Config) (Estimate, error) {
 				return Estimate{}, err
 			}
 		}
-		iter := pipelinePeriod(times, rraMicroBatches)
+		iter := sched.PipelinePeriod(times, rraMicroBatches)
 		decTotal += iter
 		if u == 1 {
 			firstIter = iter
@@ -455,7 +402,7 @@ func (s *Simulator) estimateWAA(cfg sched.Config) (Estimate, error) {
 			return Estimate{}, err
 		}
 	}
-	decIter := pipelinePeriod(decTimes, bm)
+	decIter := sched.PipelinePeriod(decTimes, bm)
 	decTraversal := traversal(decTimes)
 
 	// Steady-state period: the slower side gates (pipeline bubble

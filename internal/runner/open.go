@@ -382,7 +382,7 @@ func (o *OpenRun) rraCycle() {
 					o.res.EncStage.Add(t)
 				}
 			}
-			encDur = pipelinePeriod(times, rraMicroBatches)
+			encDur = sched.PipelinePeriod(times, rraMicroBatches)
 		}
 		admittedAt := o.sim.Now() + encDur
 		for _, r := range admitted {
@@ -418,7 +418,7 @@ func (o *OpenRun) rraDecode() {
 	case o.queue.Len() > 0:
 		o.batch.decSamples = append(o.batch.decSamples, decSample{active: len(o.active), times: times})
 	}
-	o.sim.After(pipelinePeriod(times, rraMicroBatches), o.rraDoneFn)
+	o.sim.After(sched.PipelinePeriod(times, rraMicroBatches), o.rraDoneFn)
 }
 
 // rraDecodeDone retires decode iteration o.iter and, after any KV
@@ -550,7 +550,7 @@ func (o *OpenRun) iterate() {
 			o.res.DecStage.Add(t)
 		}
 	}
-	dur := pipelinePeriod(times, o.bm)
+	dur := sched.PipelinePeriod(times, o.bm)
 	if cost, ran := o.eng.maybeCompact(o.states); ran {
 		dur += cost
 		o.res.Compactions++

@@ -217,80 +217,41 @@ func (e *Engine) promptTokens(r workload.Request) int {
 	return r.InLen
 }
 
-// linkClass mirrors core's stage link classification.
-func linkClass(s sched.Stage) profile.LinkClass {
-	if s.CrossNode {
-		return profile.InterNode
-	}
-	return profile.IntraNode
-}
-
-func (e *Engine) ppClass(from sched.Stage) profile.LinkClass {
-	last := from.FirstRank + from.TP - 1
-	next := (last + 1) % e.Cluster.TotalGPUs()
-	if e.Cluster.NodeOf(last) != e.Cluster.NodeOf(next) {
-		return profile.InterNode
-	}
-	return profile.IntraNode
-}
-
 // encStageTimes returns per-stage encode times for a batch totalling
-// tokens prompt tokens.
+// tokens prompt tokens. Stages without encoder layers are skipped, so
+// the Table 7 recorders never see a zero sample.
 func (e *Engine) encStageTimes(stages []sched.Stage, tokens int, meanSeq float64) ([]float64, error) {
+	c := sched.StageCost{Prof: e.Prof, Cluster: e.Cluster}
 	out := make([]float64, 0, len(stages))
 	for _, st := range stages {
 		if st.EncLayers == 0 {
 			continue
 		}
-		layer, err := e.Prof.EncodeLayer(tokens, meanSeq, st.TP, linkClass(st))
+		t, err := c.Enc(st, tokens, meanSeq, 1)
 		if err != nil {
 			return nil, err
 		}
-		send, err := e.Prof.PPSend(tokens, e.ppClass(st))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, float64(st.EncLayers)*layer+send)
+		out = append(out, t)
 	}
 	return out, nil
 }
 
-// decStageTimes returns per-stage decode-iteration times.
+// decStageTimes returns per-stage decode-iteration times, skipping
+// stages without decoder layers.
 func (e *Engine) decStageTimes(stages []sched.Stage, batch int, ctx float64) ([]float64, error) {
+	c := sched.StageCost{Prof: e.Prof, Cluster: e.Cluster}
 	out := make([]float64, 0, len(stages))
 	for _, st := range stages {
 		if st.DecLayers == 0 {
 			continue
 		}
-		layer, err := e.Prof.DecodeLayer(batch, ctx, st.TP, linkClass(st))
+		t, err := c.Dec(st, batch, ctx, 1)
 		if err != nil {
 			return nil, err
 		}
-		send, err := e.Prof.PPSend(batch, e.ppClass(st))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, float64(st.DecLayers)*layer+send)
+		out = append(out, t)
 	}
 	return out, nil
-}
-
-// pipelinePeriod mirrors core's steady-state iteration period.
-func pipelinePeriod(stageTimes []float64, m int) float64 {
-	if m < 1 {
-		m = 1
-	}
-	var sum, max float64
-	for _, t := range stageTimes {
-		sum += t
-		if t > max {
-			max = t
-		}
-	}
-	if p := float64(m) * max; p > sum {
-		return p
-	}
-	return sum
 }
 
 func meanCtxOf(m model.Model, active []*query) float64 {
