@@ -46,7 +46,7 @@ type allocEntry struct {
 	weights []int64 // WeightBytesPerGPU per stage, aligned with Stages
 	err     error
 
-	encPhaseByTokens map[int]float64 // pipelinePeriod of the encoding phase by microTokens
+	encPhaseByTokens map[int]float64 // sched.PipelinePeriod of the encoding phase by microTokens
 	iterByMicro      map[int]float64 // decode-iteration period by micro-batch size
 }
 
@@ -118,13 +118,6 @@ type Evaluator struct {
 	probeErr  error
 	probeDone bool
 
-	// pctl is the LatencyPctl the est memo was filled under. Latency is
-	// the only memoized output that depends on it, and only through the
-	// final whole-result memo (the phase/allocation memos are
-	// percentile-free), so a caller adjusting sim.LatencyPctl between
-	// calls just flushes est.
-	pctl float64
-
 	encMemo map[stageTimeKey]float64
 	decMemo map[stageTimeKey]float64
 
@@ -152,7 +145,6 @@ func NewEvaluator(sim *Simulator) *Evaluator {
 		est:     map[sched.Config]Estimate{},
 		encMemo: map[stageTimeKey]float64{},
 		decMemo: map[stageTimeKey]float64{},
-		pctl:    sim.LatencyPctl,
 	}
 }
 
@@ -164,10 +156,6 @@ func (e *Evaluator) Sim() *Simulator { return e.sim }
 // shares its Allocation with other results from this Evaluator; treat
 // it as read-only (Simulator.Estimate results already are).
 func (e *Evaluator) Estimate(cfg sched.Config) (Estimate, error) {
-	if e.pctl != e.sim.LatencyPctl {
-		clear(e.est)
-		e.pctl = e.sim.LatencyPctl
-	}
 	if est, ok := e.est[cfg]; ok {
 		return est, nil
 	}
@@ -490,9 +478,8 @@ func (e *Evaluator) estimateRRA(cfg sched.Config) (Estimate, error) {
 	}
 
 	tput := float64(be) / cycle
-	s99 := s.pctlLen()
 	avgIter := decTotal / float64(cfg.ND)
-	latency := encPhase*(1+s99/float64(cfg.ND)) + s99*avgIter
+	latency := encPhase*(1+s.s99/float64(cfg.ND)) + s.s99*avgIter
 
 	return Estimate{
 		Config: cfg, Alloc: alloc, Feasible: true,
@@ -569,8 +556,7 @@ func (e *Evaluator) estimateWAA(cfg sched.Config) (Estimate, error) {
 
 	tput := float64(be) / period
 
-	s99 := s.pctlLen()
-	latency := enc.traversal + kvXfer + (s99-1)*period + dec.traversal
+	latency := enc.traversal + kvXfer + (s.s99-1)*period + dec.traversal
 	latency *= 1.05 // §6: buffer time for dynamic adjustments
 
 	return Estimate{

@@ -111,8 +111,7 @@ func (s *Simulator) estimateDisagg(cfg sched.Config) (Estimate, error) {
 	// Latency: prefill traversal, the serialized handover, then S99
 	// decode iterations. No dynamic-adjustment buffer — the pools never
 	// rebalance, that is the point of the fixed split.
-	s99 := s.pctlLen()
-	latency := encTraversal + kvXfer + (s99-1)*period + decTraversal
+	latency := encTraversal + kvXfer + (s.s99-1)*period + decTraversal
 
 	return Estimate{
 		Config: cfg, Alloc: alloc, Feasible: true,

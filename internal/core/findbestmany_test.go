@@ -240,10 +240,17 @@ func BenchmarkFindBestIndependentFourBounds(b *testing.B) {
 }
 
 // TestFindBestManyRejectsNaN: a NaN bound cannot satisfy any latency
-// comparison and cannot key results; it must be an explicit error.
+// comparison and cannot key results; every search entry point taking a
+// bound must reject it as an explicit error.
 func TestFindBestManyRejectsNaN(t *testing.T) {
 	s := detScheduler(t, 1)
 	if _, err := s.FindBestMany(allPolicies, []float64{math.NaN(), 20}); err == nil {
-		t.Fatal("NaN bound must be rejected")
+		t.Fatal("FindBestMany: NaN bound must be rejected")
+	}
+	if _, err := s.FindBest(allPolicies, math.NaN()); err == nil {
+		t.Fatal("FindBest: NaN bound must be rejected")
+	}
+	if _, err := s.Exhaustive(allPolicies, math.NaN()); err == nil {
+		t.Fatal("Exhaustive: NaN bound must be rejected")
 	}
 }

@@ -110,7 +110,8 @@ func TestSeedBoundStillFindsOptimum(t *testing.T) {
 		if !bb.Found {
 			continue
 		}
-		if bb.Best.Throughput < ex.Best.Throughput*(1-s.TolT-0.02) {
+		tol := tolT // a float64 variable, so 1-tol-0.02 rounds step by step
+		if bb.Best.Throughput < ex.Best.Throughput*(1-tol-0.02) {
 			t.Fatalf("bound %v: parallel B&B tput %v far below exhaustive %v",
 				bound, bb.Best.Throughput, ex.Best.Throughput)
 		}

@@ -97,10 +97,6 @@ type perf struct {
 // shared read-only Simulator through its own memoized Evaluator.
 type Scheduler struct {
 	Sim *Simulator
-	// TolT and TolL are the throughput/latency tolerances of
-	// Algorithm 1; they absorb small non-monotonicities (§5.1).
-	// Expressed as fractions of the latency bound / running best.
-	TolT, TolL float64
 	// MaxBatch and MaxND bound the search space.
 	MaxBatch, MaxND, MaxBm int
 	// Workers is the number of concurrent branch workers; 0 means
@@ -132,11 +128,15 @@ type Scheduler struct {
 	evs []*Evaluator
 }
 
-// NewScheduler returns a scheduler with the paper's default tolerances
-// (5%, Table 5).
+// tolT and tolL are the throughput/latency tolerances of Algorithm 1;
+// they absorb small non-monotonicities (§5.1). Expressed as fractions
+// of the running best / latency bound, at the paper's 5% (Table 5).
+const tolT, tolL = 0.05, 0.05
+
+// NewScheduler returns a scheduler with the paper's default search
+// space.
 func NewScheduler(sim *Simulator) *Scheduler {
-	return &Scheduler{Sim: sim, TolT: 0.05, TolL: 0.05,
-		MaxBatch: 4096, MaxND: 64, MaxBm: 8}
+	return &Scheduler{Sim: sim, MaxBatch: 4096, MaxND: 64, MaxBm: 8}
 }
 
 // workers resolves the effective worker-pool size.
@@ -384,12 +384,22 @@ func (inc *incumbent) consider(p *perf, lbound float64) {
 	}
 }
 
+// checkBound rejects a NaN latency bound: NaN never satisfies a latency
+// comparison and cannot key a per-bound result, so a search under it
+// would report "no feasible schedule" instead of the input error.
+func checkBound(lbound float64) error {
+	if math.IsNaN(lbound) {
+		return fmt.Errorf("core: NaN latency bound")
+	}
+	return nil
+}
+
 // epsLat returns the Line 14 latency tolerance for a bound.
 func (s *Scheduler) epsLat(lbound float64) float64 {
 	if math.IsInf(lbound, 1) {
 		return 0
 	}
-	return s.TolL * lbound
+	return tolL * lbound
 }
 
 // bbLoop drains the block queue of Algorithm 1 for one (policy, TP)
@@ -403,10 +413,10 @@ func (s *Scheduler) bbLoop(ev *Evaluator, policy sched.Policy, tp sched.TPSpec, 
 	epsL := s.epsLat(lbound)
 
 	// canBeat reports whether a block with throughput upper bound upp
-	// could still improve on the incumbent T* (within the TolT
+	// could still improve on the incumbent T* (within the tolT
 	// tolerance, Line 18).
 	canBeat := func(upp float64) bool {
-		return inc.bound == 0 || upp+s.TolT*inc.bound >= inc.bound
+		return inc.bound == 0 || upp+tolT*inc.bound >= inc.bound
 	}
 
 	for len(queue) > 0 {
@@ -611,12 +621,15 @@ func (s *Scheduler) probeCorners(ev *Evaluator, j branch, axes []Axis, evals *in
 //
 // The selected schedule is the grid optimum as long as a block's
 // top-corner throughput upper-bounds its interior (the §4.2
-// monotonicity that Algorithm 1 assumes, with TolT absorbing small
+// monotonicity that Algorithm 1 assumes, with tolT absorbing small
 // violations — Table 5 measures how well it holds): then pruning can
 // only discard points strictly below the optimum, the grid-point
 // corners at or above it are always evaluated, and the reduction walks
 // branches in canonical order with a total-order tie-break (better).
 func (s *Scheduler) FindBest(policies []sched.Policy, lbound float64) (Result, error) {
+	if err := checkBound(lbound); err != nil {
+		return Result{}, err
+	}
 	jobs := s.branches(policies)
 	s.ensureEvals()
 	outs := make([]branchOutcome, len(jobs))
@@ -733,11 +746,8 @@ func (s *Scheduler) FindBestMany(policies []sched.Policy, bounds []float64) ([]R
 		return nil, nil
 	}
 	for _, b := range bounds {
-		// NaN never satisfies a latency comparison and cannot key the
-		// per-bound result map; reject it instead of silently returning
-		// garbage for the whole sweep.
-		if math.IsNaN(b) {
-			return nil, fmt.Errorf("core: NaN latency bound")
+		if err := checkBound(b); err != nil {
+			return nil, err
 		}
 	}
 	asc := append([]float64(nil), bounds...)
@@ -909,6 +919,9 @@ func (s *Scheduler) MinLatency(policies []sched.Policy) (float64, error) {
 // true optimum over the same search space. Branches scan concurrently;
 // no pruning is applied, so Evals is the full deterministic grid size.
 func (s *Scheduler) Exhaustive(policies []sched.Policy, lbound float64) (Result, error) {
+	if err := checkBound(lbound); err != nil {
+		return Result{}, err
+	}
 	jobs := s.branches(policies)
 	s.ensureEvals()
 	outs := make([]branchOutcome, len(jobs))

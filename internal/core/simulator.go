@@ -19,6 +19,10 @@ import (
 // checks, covering workload variance (§5.2 buffer time / §7.9).
 const KVMemMargin = 1.25
 
+// latencyPctl is the output-length percentile the latency estimate
+// targets: the paper bounds the 99th-percentile sequence (§7.1).
+const latencyPctl = 0.99
+
 // MemReserve is the fraction of GPU memory kept free for activation
 // workspace and allocator slack.
 const MemReserve = 0.05
@@ -35,9 +39,6 @@ type Simulator struct {
 	Cluster hw.Cluster // the deployment sub-cluster
 	Profile *profile.Table
 	In, Out *seqdist.Dist
-	// LatencyPctl is the output-length percentile the latency estimate
-	// targets; the paper uses the 99th percentile sequence (§7.1).
-	LatencyPctl float64
 
 	// Schedule-invariant scalars hoisted at construction so the
 	// Estimate hot path never rescans the O(Max) distributions.
@@ -45,8 +46,7 @@ type Simulator struct {
 	inMeanRounded   int     // int(round(inMean)), the per-query prompt tokens
 	ctxMean         float64 // meanCtx()
 	steadyKV        float64 // steadyKVTokensPerQuery()
-	s99             int     // Out.Percentile(s99Pctl)
-	s99Pctl         float64 // the percentile s99 was computed at
+	s99             float64 // Out.Percentile(latencyPctl)
 	capBytes        int64   // capacity()
 }
 
@@ -67,7 +67,7 @@ func NewSimulator(m model.Model, cluster hw.Cluster, tab *profile.Table, in, out
 	if in == nil || out == nil {
 		return nil, fmt.Errorf("core: nil sequence distribution")
 	}
-	s := &Simulator{Model: m, Cluster: cluster, Profile: tab, In: in, Out: out, LatencyPctl: 0.99}
+	s := &Simulator{Model: m, Cluster: cluster, Profile: tab, In: in, Out: out}
 	s.inMean = in.Mean()
 	s.outMean = out.Mean()
 	s.inMeanRounded = int(math.Round(s.inMean))
@@ -78,8 +78,7 @@ func NewSimulator(m model.Model, cluster hw.Cluster, tab *profile.Table, in, out
 	// Mean cached tokens an active query holds (prompt for decoder-only
 	// or cross cache for enc-dec, plus generated-so-far).
 	s.steadyKV = s.inMean + pos + 1
-	s.s99Pctl = s.LatencyPctl
-	s.s99 = out.Percentile(s.s99Pctl)
+	s.s99 = float64(out.Percentile(latencyPctl))
 	s.capBytes = int64(float64(cluster.GPU.MemoryBytes) * (1 - MemReserve))
 	return s, nil
 }
@@ -93,7 +92,7 @@ type Estimate struct {
 	Feasible bool
 	Reason   string
 	// Throughput in sequences/second; Latency is the time to generate a
-	// LatencyPctl-length output sequence.
+	// 99th-percentile-length output sequence.
 	Throughput float64
 	Latency    float64
 	// EncTime is the encode-phase (RRA) or encode-traversal (WAA) time;
@@ -153,17 +152,6 @@ func (s *Simulator) meanCtx() float64 { return s.ctxMean }
 // holds (prompt for decoder-only or cross cache for enc-dec, plus
 // generated-so-far), precomputed at construction.
 func (s *Simulator) steadyKVTokensPerQuery() float64 { return s.steadyKV }
-
-// pctlLen returns the LatencyPctl output length, served from the
-// construction-time cache when the percentile is unchanged (callers may
-// still adjust LatencyPctl after construction; that path recomputes
-// without mutating the shared Simulator).
-func (s *Simulator) pctlLen() float64 {
-	if s.LatencyPctl == s.s99Pctl {
-		return float64(s.s99)
-	}
-	return float64(s.Out.Percentile(s.LatencyPctl))
-}
 
 // kvBytes returns the KV bytes for tokens cached tokens across layers
 // layers, sharded over tp.
@@ -279,9 +267,8 @@ func (s *Simulator) estimateRRA(cfg sched.Config) (Estimate, error) {
 	// iterations (§4.1). The expected phase count S99/ND (a query joins
 	// a cycle at a uniformly random offset) keeps Latency smooth and
 	// strictly monotone in the encoding frequency.
-	s99 := s.pctlLen()
 	avgIter := decTotal / float64(cfg.ND)
-	latency := encPhase*(1+s99/float64(cfg.ND)) + s99*avgIter
+	latency := encPhase*(1+s.s99/float64(cfg.ND)) + s.s99*avgIter
 
 	return Estimate{
 		Config: cfg, Alloc: alloc, Feasible: true,
@@ -439,8 +426,7 @@ func (s *Simulator) estimateWAA(cfg sched.Config) (Estimate, error) {
 
 	// Latency: encode traversal + KV handover + S99 decode iterations
 	// (token period), §4.1/§6 including buffer for dynamic adjustment.
-	s99 := s.pctlLen()
-	latency := encTraversal + kvXfer + (s99-1)*period + decTraversal
+	latency := encTraversal + kvXfer + (s.s99-1)*period + decTraversal
 	latency *= 1.05 // §6: buffer time for dynamic adjustments
 
 	return Estimate{

@@ -57,7 +57,7 @@ func (e *Engine) victims() VictimSelector {
 
 // adaptiveFormation is the default formation policy: dynamic workload
 // adjustment (§5.2). The number taken starts from want and is adjusted
-// so that (a) the summed input length stays within Theta of the average
+// so that (a) the summed input length stays within theta of the average
 // workload and (b) the decoder batch is pulled back toward targetBD.
 type adaptiveFormation struct{ eng *Engine }
 
@@ -72,14 +72,14 @@ func (f adaptiveFormation) Take(q Queue, want int, meanIn float64, activeNow, ta
 		deficit := targetBD - activeNow
 		if deficit > 0 {
 			take = max(take, min(deficit, take*2))
-		} else if float64(activeNow) > float64(targetBD)*(1+e.Theta) {
+		} else if float64(activeNow) > float64(targetBD)*(1+theta) {
 			take = max(1, take/2)
 		}
 	}
 	batch := q.Peek(take)
 	if e.DynamicAdjust && len(batch) > 1 {
 		// Trim so the encoder token workload stays within the threshold.
-		budget := float64(want) * meanIn * (1 + e.Theta)
+		budget := float64(want) * meanIn * (1 + theta)
 		tokens := 0
 		cut := len(batch)
 		for i, r := range batch {

@@ -50,12 +50,6 @@ type Engine struct {
 	Prof    *profile.Table
 	// DynamicAdjust enables §5.2 runtime workload adjustment.
 	DynamicAdjust bool
-	// Theta is the workload threshold of §5.2 (fractional deviation
-	// tolerated before adjusting), default 0.1.
-	Theta float64
-	// CompactFrac triggers KV compaction when fragmentation exceeds this
-	// fraction of live bytes.
-	CompactFrac float64
 	// Formation overrides the batch-formation policy; nil selects the
 	// §5.2 adaptive default (see policy.go).
 	Formation BatchFormation
@@ -77,8 +71,16 @@ func New(m model.Model, cluster hw.Cluster, prof *profile.Table) (*Engine, error
 		return nil, fmt.Errorf("runner: nil profile")
 	}
 	return &Engine{Model: m, Cluster: cluster, Prof: prof,
-		DynamicAdjust: true, Theta: 0.1, CompactFrac: 0.10}, nil
+		DynamicAdjust: true}, nil
 }
+
+// theta is the workload threshold of §5.2: the fractional deviation
+// tolerated before the runtime adjusts the batch.
+const theta = 0.1
+
+// compactFrac triggers KV compaction when fragmentation exceeds this
+// fraction of live bytes.
+const compactFrac = 0.10
 
 // QueryRecord is the per-query outcome.
 type QueryRecord struct {
@@ -189,7 +191,7 @@ func (e *Engine) maybeCompact(states []*stageState) (float64, bool) {
 		if live < 1 {
 			live = 1
 		}
-		if float64(st.kv.FragBytes()) > e.CompactFrac*float64(live) {
+		if float64(st.kv.FragBytes()) > compactFrac*float64(live) {
 			moved := st.kv.Compact()
 			cost = math.Max(cost, float64(moved)/e.Cluster.GPU.MemBandwidth)
 			ran = true
@@ -287,7 +289,7 @@ func (e *Engine) Run(cfg sched.Config, alloc sched.Allocation, reqs []workload.R
 	if err := o.Finish(); err != nil {
 		return Result{}, err
 	}
-	o.batch.steadyDecStage(o.res.DecStage, e.Theta)
+	o.batch.steadyDecStage(o.res.DecStage, theta)
 	res := o.Result()
 	if res.Stats.Completed != len(reqs) {
 		return Result{}, fmt.Errorf("runner: completed %d of %d requests (stall)", res.Stats.Completed, len(reqs))

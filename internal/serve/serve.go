@@ -65,10 +65,6 @@ type Options struct {
 	// MinSample is the minimum number of recent completions needed to
 	// re-estimate length distributions (default 64).
 	MinSample int
-	// Horizon is the benefit horizon in seconds over which a candidate
-	// schedule's service gain is projected (default 120), capped by
-	// the remaining duration.
-	Horizon float64
 	// StepAt and StepFactor configure the step arrival kind.
 	StepAt, StepFactor float64
 	// Policies is the schedule search space (default all).
@@ -97,14 +93,16 @@ func (o Options) withDefaults() Options {
 	if o.MinSample <= 0 {
 		o.MinSample = 64
 	}
-	if o.Horizon <= 0 {
-		o.Horizon = 120
-	}
 	if len(o.Policies) == 0 {
 		o.Policies = []sched.Policy{sched.RRA, sched.WAAC, sched.WAAM}
 	}
 	return o
 }
+
+// benefitHorizon is the horizon in seconds over which a candidate
+// schedule's service gain is projected, capped by the remaining
+// duration.
+const benefitHorizon = 120
 
 // Ceilings on the size of one run, checked before anything runs: every
 // window is a loop step with its own stats, and every arrival is a
@@ -445,7 +443,7 @@ func Run(dep *experiments.Deployment, opts Options) (*Report, error) {
 			continue
 		}
 		dec.Candidate = scheduleInfo(cand)
-		horizon := math.Min(opts.Horizon, opts.Duration-winEnd)
+		horizon := math.Min(benefitHorizon, opts.Duration-winEnd)
 		downtime := cur.Latency + opts.SwitchCost // drain estimate + re-shard
 		gain := (serviceValue(obsRate, cand.Throughput, cand.Latency, opts.SLO) -
 			serviceValue(obsRate, cur.Throughput, cur.Latency, opts.SLO)) * horizon
