@@ -16,7 +16,9 @@ test:
 # Race-detect the concurrency-critical packages: the parallel scheduler
 # search, the runner engines, the parallel experiment sweep, the
 # distributed-sweep fold and worker fleet (concurrent sweep workers
-# sharing one profile cache), and the work-stealing dispatcher.
+# sharing one profile cache), the work-stealing dispatcher (with its
+# journal and the seed-driven chaos suite over all three transports)
+# and the serve loop.
 race:
 	$(GO) test -race ./internal/core/... ./internal/runner/... ./internal/experiments/... ./internal/par/... ./internal/distsweep/... ./internal/atomicfile/... ./internal/dispatch/... ./internal/serve/...
 
